@@ -116,9 +116,10 @@ trace-smoke: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
-# Injection-engine throughput smoke (E16): the checkpointed engine must
-# be at least as fast as the scratch path, and all engines must agree on
-# outcome counts.
+# Injection-engine throughput smoke (E16, E20): the predecoded
+# checkpointed engine must beat the scratch path with every engine
+# agreeing on outcome counts, and the Predecode.exec golden walk must
+# beat Machine.run on the generic lowered bodies alone.
 perf: build
 	$(BENCH) perf --smoke --samples 300
 

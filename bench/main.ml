@@ -418,14 +418,15 @@ let lint_compare ~samples ~seed =
 (* ------------------------------------------------------------------ *)
 
 (* End-to-end campaign throughput per engine configuration, on the
-   FERRUM-protected catalogue.  The checkpointed engine is timed twice —
-   on the legacy [Machine.step] dispatch loop (the PR 5 baseline) and on
-   the pre-decoded threaded loop — and outcome counts are cross-checked
-   across every configuration (they must agree exactly — the engines and
-   the two dispatchers are bit-identical by construction and by the test
-   battery).  With [smoke] set, only the first workload runs and the
-   function fails loudly unless the predecoded checkpointed engine beats
-   both the legacy checkpointed baseline and the scratch path — the
+   FERRUM-protected catalogue, with outcome counts cross-checked across
+   every engine (they must agree exactly — the engines are
+   bit-identical by construction and by the test battery).  Next to it,
+   the golden walk on both dispatch paths: [Machine.run], which runs
+   only the generic bodies of [Machine.lower], and [Predecode.exec],
+   which adds the specialized arms and fused pairs.  With
+   [smoke] set, only the first workload runs and the function fails
+   loudly unless the predecoded checkpointed engine beats the scratch
+   path and the predecoded walk beats the generic one — the
    `make perf` / CI perf-smoke regression gate. *)
 let perf_compare ~samples ~seed ~smoke =
   let entries =
@@ -434,6 +435,13 @@ let perf_compare ~samples ~seed ~smoke =
   in
   let failed = ref false in
   let results = ref [] in
+  let fail fmt =
+    Fmt.kstr
+      (fun msg ->
+        Fmt.epr "[perf] %s@." msg;
+        failed := true)
+      fmt
+  in
   let rows =
     List.map
       (fun (entry : Ferrum_workloads.Catalog.entry) ->
@@ -442,77 +450,81 @@ let perf_compare ~samples ~seed ~smoke =
           (Ferrum_eddi.Pipeline.protect Ferrum_eddi.Technique.Ferrum m)
             .program
         in
-        let img = Ferrum_machine.Machine.load p in
-        let timed ?(legacy = false) engine =
-          let pre = Ferrum_machine.Predecode.enabled in
-          let saved = !pre in
-          pre := not legacy;
-          Fun.protect
-            ~finally:(fun () -> pre := saved)
-            (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let res = F.campaign ~seed ~samples ~engine img in
-              let dt = Unix.gettimeofday () -. t0 in
-              (res.F.counts, float_of_int samples /. dt))
+        let module Machine = Ferrum_machine.Machine in
+        let img = Machine.load p in
+        let timed engine =
+          let t0 = Unix.gettimeofday () in
+          let res = F.campaign ~seed ~samples ~engine img in
+          let dt = Unix.gettimeofday () -. t0 in
+          (res.F.counts, float_of_int samples /. dt)
         in
         let configs =
           [ ("scratch", timed F.Scratch);
             ("pooled", timed F.Pooled);
-            ("legacy", timed ~legacy:true F.default_engine);
             ("predecoded", timed F.default_engine) ]
         in
         let reference = fst (snd (List.hd configs)) in
         List.iter
           (fun (name, (c, _)) ->
-            if c <> reference then begin
-              Fmt.epr
-                "[perf] %s: %s configuration disagrees on outcome counts!@."
-                entry.name name;
-              failed := true
-            end)
+            if c <> reference then
+              fail "%s: %s configuration disagrees on outcome counts!"
+                entry.name name)
           configs;
         let sps name = snd (List.assoc name configs) in
         let scratch = sps "scratch" and pooled = sps "pooled" in
-        let legacy = sps "legacy" and predecoded = sps "predecoded" in
-        if smoke && predecoded < legacy then begin
-          Fmt.epr
-            "[perf] %s: predecoded dispatch slower than legacy ckpt (%.0f \
-             vs %.0f samples/s)@."
-            entry.name predecoded legacy;
-          failed := true
-        end;
-        if smoke && predecoded < scratch then begin
-          Fmt.epr
-            "[perf] %s: predecoded ckpt slower than scratch (%.0f vs %.0f \
-             samples/s)@."
+        let predecoded = sps "predecoded" in
+        if smoke && predecoded < scratch then
+          fail "%s: predecoded ckpt slower than scratch (%.0f vs %.0f \
+                samples/s)"
             entry.name predecoded scratch;
-          failed := true
-        end;
+        (* ns/step of the best of five golden walks, after an untimed
+           walk that pays the lowering/decode *)
+        let walk run =
+          let st0 = Machine.fresh_state img in
+          ignore (run st0);
+          let best =
+            List.fold_left Float.min infinity
+              (List.init 5 (fun _ ->
+                   let st = Machine.fresh_state img in
+                   let t0 = Unix.gettimeofday () in
+                   ignore (run st);
+                   Unix.gettimeofday () -. t0))
+          in
+          best *. 1e9 /. float_of_int st0.Machine.steps
+        in
+        let generic = walk (Machine.run img) in
+        let fast = walk Ferrum_machine.Predecode.(exec (get img)) in
+        if smoke && fast >= generic then
+          fail "%s: predecoded golden walk not faster than the generic \
+                one (%.1f vs %.1f ns/step)"
+            entry.name fast generic;
         results :=
           { Ferrum_report.Export.p_benchmark = entry.name;
-            p_scratch = scratch; p_pooled = pooled; p_legacy = legacy;
+            p_scratch = scratch; p_pooled = pooled;
             p_predecoded = predecoded }
           :: !results;
         [
           entry.name;
           Fmt.str "%.0f" scratch;
           Fmt.str "%.0f" pooled;
-          Fmt.str "%.0f" legacy;
           Fmt.str "%.0f" predecoded;
-          Fmt.str "%.1fx" (predecoded /. legacy);
+          Fmt.str "%.1f" generic;
+          Fmt.str "%.1f" fast;
+          Fmt.str "%.1fx" (generic /. fast);
         ])
       entries
   in
   let table =
     Fmt.str
       "Injection throughput by engine (samples/sec, %d samples, seed %Ld;\n\
-       legacy = ckpt-4096 on Machine.step dispatch, predecoded = ckpt-4096\n\
-       on the pre-decoded threaded loop; speedup = predecoded over legacy)@.%s"
+       predecoded = ckpt-4096 on the pre-decoded threaded loop) and golden\n\
+       walk ns/step (generic = Machine.run on Machine.lower's bodies,\n\
+       fast = Predecode.exec; speedup = generic over fast)@.%s"
       samples seed
       (R.Ascii.table
          ~header:
-           [ "benchmark"; "scratch"; "pooled"; "legacy"; "predecoded";
-             "speedup" ]
+           [ "benchmark"; "scratch"; "pooled"; "predecoded"; "generic";
+             "fast"; "speedup" ]
          ~rows)
   in
   if !failed then begin

@@ -32,73 +32,17 @@ type report = {
   r_eligible : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Flattening, mirroring Machine.load's layout exactly so static       *)
-(* indices agree with the injector's.                                  *)
-(* ------------------------------------------------------------------ *)
+(* Static index of instruction [k] of block [label] in a flattened
+   program ({!Prog.flatten}, the machine's own layout, so indices agree
+   with the injector's), or [-1]. *)
+let index_in (fl : Prog.flat) label k =
+  match Hashtbl.find_opt fl.label_index label with
+  | Some i when k >= 0 && i + k < Array.length fl.code ->
+    let _, l, _ = (Lazy.force fl.pos).(i + k) in
+    if String.equal l label then i + k else -1
+  | _ -> -1
 
-type link = L_none | L_target of int | L_call of int | L_detect | L_print
-
-type flat = {
-  code : Instr.ins array;
-  links : link array;
-  pos : (string * string * int) array;  (** func, label, k per index *)
-  index_of : (string * int, int) Hashtbl.t;
-  entry_range : int * int;
-}
-
-let flatten (p : Prog.t) : flat =
-  let items = ref [] and n = ref 0 in
-  let label_ix = Hashtbl.create 64 in
-  let func_ix = Hashtbl.create 16 in
-  let index_of = Hashtbl.create 256 in
-  let entry_range = ref (0, 0) in
-  List.iter
-    (fun (f : Prog.func) ->
-      let start = !n in
-      Hashtbl.replace func_ix f.fname start;
-      List.iter
-        (fun (b : Prog.block) ->
-          Hashtbl.replace label_ix b.label !n;
-          List.iteri
-            (fun k (i : Instr.ins) ->
-              Hashtbl.replace index_of (b.label, k) !n;
-              items := (i, f.fname, b.label, k) :: !items;
-              incr n)
-            b.insns)
-        f.blocks;
-      if String.equal f.fname p.entry then entry_range := (start, !n))
-    p.funcs;
-  let items = Array.of_list (List.rev !items) in
-  let code = Array.map (fun (i, _, _, _) -> i) items in
-  let pos = Array.map (fun (_, f, l, k) -> (f, l, k)) items in
-  let resolve_label l =
-    if String.equal l Prog.exit_function_label then L_detect
-    else
-      match Hashtbl.find_opt label_ix l with
-      | Some i -> L_target i
-      | None -> L_none
-  in
-  let links =
-    Array.map
-      (fun (i : Instr.ins) ->
-        match i.op with
-        | Instr.Jmp l | Instr.Jcc (_, l) -> resolve_label l
-        | Instr.Call f ->
-          if String.equal f Prog.builtin_print then L_print
-          else if String.equal f Prog.builtin_detect then L_detect
-          else (
-            match Hashtbl.find_opt func_ix f with
-            | Some i -> L_call i
-            | None -> L_none)
-        | _ -> L_none)
-      code
-  in
-  { code; links; pos; index_of; entry_range = !entry_range }
-
-let static_index_of p ~label ~k =
-  let fl = flatten p in
-  Option.value ~default:(-1) (Hashtbl.find_opt fl.index_of (label, k))
+let static_index_of p ~label ~k = index_in (Prog.flatten p) label k
 
 (* ------------------------------------------------------------------ *)
 (* Check-free-path analysis (uncovered set).                           *)
@@ -115,10 +59,15 @@ let static_index_of p ~label ~k =
 (* ------------------------------------------------------------------ *)
 
 let uncovered (p : Prog.t) : site list * int =
-  let fl = flatten p in
+  let fl = Prog.flatten p in
+  let pos = Lazy.force fl.pos in
   let len = Array.length fl.code in
   let e = Array.make len false and q = Array.make len false in
-  let s_entry, e_entry = fl.entry_range in
+  let s_entry, e_entry =
+    match (Hashtbl.find_opt fl.func_index p.entry, Prog.find_func p p.entry) with
+    | Some s, Some f -> (s, s + Prog.num_instructions_func f)
+    | _ -> (0, 0)
+  in
   let in_entry i = i >= s_entry && i < e_entry in
   let nxt arr i = if i + 1 < len then arr.(i + 1) else false in
   (* A non-entry Ret continues at every caller's return site, so its E
@@ -132,12 +81,12 @@ let uncovered (p : Prog.t) : site list * int =
       | (f', _) :: _ when String.equal f f' -> ()
       | _ -> starts := (f, i) :: !starts);
       fstart.(i) <- snd (List.hd !starts))
-    fl.pos;
+    pos;
   let callers = Hashtbl.create 16 in
   Array.iteri
     (fun i link ->
       match link with
-      | L_call t ->
+      | Prog.L_call t ->
         Hashtbl.replace callers t
           ((i + 1) :: Option.value ~default:[] (Hashtbl.find_opt callers t))
       | _ -> ())
@@ -156,14 +105,14 @@ let uncovered (p : Prog.t) : site list * int =
         if ins.Instr.prov = Instr.Check then (false, false)
         else
           match (ins.op, fl.links.(i)) with
-          | Instr.Jmp _, L_detect -> (false, false)
-          | Instr.Jmp _, L_target t -> (e.(t), q.(t))
-          | Instr.Jcc _, L_detect -> (nxt e i, nxt q i)
-          | Instr.Jcc _, L_target t -> (e.(t) || nxt e i, q.(t) || nxt q i)
+          | Instr.Jmp _, Prog.L_detect -> (false, false)
+          | Instr.Jmp _, Prog.L_target t -> (e.(t), q.(t))
+          | Instr.Jcc _, Prog.L_detect -> (nxt e i, nxt q i)
+          | Instr.Jcc _, Prog.L_target t -> (e.(t) || nxt e i, q.(t) || nxt q i)
           | Instr.Ret, _ -> (in_entry i || ret_e i, true)
-          | Instr.Call _, L_print -> (true, nxt q i)
-          | Instr.Call _, L_detect -> (false, false)
-          | Instr.Call _, L_call t ->
+          | Instr.Call _, Prog.L_print -> (true, nxt q i)
+          | Instr.Call _, Prog.L_detect -> (false, false)
+          | Instr.Call _, Prog.L_call t ->
             (e.(t) || (q.(t) && nxt e i), q.(t) && nxt q i)
           | _ -> (nxt e i, nxt q i)
       in
@@ -183,7 +132,7 @@ let uncovered (p : Prog.t) : site list * int =
     if ins.Instr.prov = Instr.Original && Instr.defs ins.op <> [] then begin
       incr eligible;
       if e.(i) then
-        let fname, label, k = fl.pos.(i) in
+        let fname, label, k = pos.(i) in
         sites :=
           { u_static_index = i; u_func = fname; u_label = label;
             u_index = k; u_site = Printer.string_of_instr ins.op }
@@ -218,10 +167,8 @@ let record_fields =
       field "message" F_string; field "hint" F_string ]
 
 let rows (p : Prog.t) (r : report) : Json.t list =
-  let fl = flatten p in
-  let idx label k =
-    Option.value ~default:(-1) (Hashtbl.find_opt fl.index_of (label, k))
-  in
+  let fl = Prog.flatten p in
+  let idx = index_in fl in
   let finding_row (f : Shadow.finding) =
     Json.Obj
       [ ("kind", Json.Str (Shadow.kind_name f.f_kind));

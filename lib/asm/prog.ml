@@ -111,6 +111,68 @@ let validate (t : t) =
         | _ -> ill_formed "%s: control falls off the end" f.fname))
     t.funcs
 
+(* Pre-resolved control-flow target of an instruction. *)
+type link =
+  | L_none (* not a transfer, or an unresolved target *)
+  | L_target of int (* jmp/jcc destination *)
+  | L_call of int (* callee entry index *)
+  | L_detect (* transfer to the detector *)
+  | L_print (* builtin print_i64 *)
+
+type flat = {
+  code : Instr.ins array;
+  links : link array;
+  pos : (string * string * int) array Lazy.t; (* function, label, offset *)
+  label_index : (string, int) Hashtbl.t; (* block label -> first index *)
+  func_index : (string, int) Hashtbl.t; (* function -> entry index *)
+}
+
+(* Flatten in {!fold_insns} order — the static indices the machine, the
+   injector and the static analyses share — and resolve jump and call
+   targets program-wide.  Unresolved targets link as [L_none], so the
+   linter can flatten partial programs; a label defined twice has no
+   single index and raises [Ill_formed]. *)
+let flatten (t : t) =
+  let label_index = Hashtbl.create 64 and func_index = Hashtbl.create 16 in
+  let n = ref 0 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace func_index f.fname !n;
+      List.iter
+        (fun b ->
+          if Hashtbl.mem label_index b.label then
+            ill_formed "duplicate label across program: %s" b.label;
+          Hashtbl.replace label_index b.label !n;
+          n := !n + List.length b.insns)
+        f.blocks)
+    t.funcs;
+  let per_block g =
+    Array.of_list
+      (List.concat_map (fun f -> List.concat_map (g f) f.blocks) t.funcs)
+  in
+  let code = per_block (fun _ b -> b.insns) in
+  let pos =
+    lazy (per_block (fun f b -> List.mapi (fun k _ -> (f.fname, b.label, k)) b.insns))
+  in
+  let find tbl key mk =
+    match Hashtbl.find_opt tbl key with Some i -> mk i | None -> L_none
+  in
+  let links =
+    Array.map
+      (fun (i : Instr.ins) ->
+        match i.op with
+        | Instr.Jmp l | Instr.Jcc (_, l) ->
+          if String.equal l exit_function_label then L_detect
+          else find label_index l (fun i -> L_target i)
+        | Instr.Call f ->
+          if String.equal f builtin_print then L_print
+          else if String.equal f builtin_detect then L_detect
+          else find func_index f (fun i -> L_call i)
+        | _ -> L_none)
+      code
+  in
+  { code; links; pos; label_index; func_index }
+
 (* Provenance histogram, used in tests and reports. *)
 let provenance_counts (t : t) =
   fold_insns

@@ -59,5 +59,32 @@ val ill_formed : ('a, Format.formatter, unit, 'b) format4 -> 'a
     off the end.  Raises {!Ill_formed} otherwise. *)
 val validate : t -> unit
 
+(** Pre-resolved control-flow target of an instruction. *)
+type link =
+  | L_none  (** not a control transfer, or an unresolved target *)
+  | L_target of int  (** jmp/jcc destination index *)
+  | L_call of int  (** callee entry index *)
+  | L_detect  (** transfer to the detector *)
+  | L_print  (** the [print_i64] builtin *)
+
+(** A program flattened to static indices. *)
+type flat = {
+  code : Instr.ins array;
+  links : link array;
+  pos : (string * string * int) array Lazy.t;
+      (** function, block label and offset in the block, per index
+          (built on demand: loading does not need it) *)
+  label_index : (string, int) Hashtbl.t;  (** block label -> first index *)
+  func_index : (string, int) Hashtbl.t;  (** function -> entry index *)
+}
+
+(** Flatten in {!fold_insns} order and resolve jump and call targets
+    program-wide.  This is the one definition of static indices: the
+    machine's loader, the fault injector and the static analyses all
+    agree on it.  Unresolved targets link as [L_none] (the loader
+    rejects them, the linter tolerates them); a block label defined
+    twice in the program raises {!Ill_formed}. *)
+val flatten : t -> flat
+
 (** [(originals, dups, checks, instrumentation)] instruction counts. *)
 val provenance_counts : t -> int * int * int * int

@@ -97,9 +97,7 @@ type phases = {
   mutable ph_suffix_steps : int;  (** flip + post-flip execution *)
   mutable ph_decodes : int;  (** predecode lowerings of this target *)
   mutable ph_fused_steps : int;
-      (** suffix steps retired as fused superinstruction pairs; replayed
-          identically by the legacy dispatch loop so trace counters stay
-          byte-identical whichever dispatcher ran *)
+      (** suffix steps retired as fused superinstruction pairs *)
 }
 
 (** A profiled program ready for injection.  The trailing mutable

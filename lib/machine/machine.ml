@@ -8,6 +8,12 @@
    reached [exit_function] or [__ferrum_detect]), crash (memory trap,
    divide error, wild control transfer, stack overflow) or timeout.
 
+   Each opcode's semantics is defined once, by {!lower}: a decode-time
+   lowering of one static instruction into a closure over resolved
+   operands.  {!step} and {!run} execute lowered bodies; {!Predecode}
+   reuses the same lowering for every instruction it has no specialized
+   arm for.
+
    A per-step observer hook exposes the static index of the instruction
    that just retired; the fault injector uses it to flip one bit of one
    architectural destination right after write-back. *)
@@ -34,7 +40,7 @@ let pp_outcome ppf = function
   | Timeout -> Fmt.string ppf "timeout"
 
 (* Pre-resolved control-flow target of an instruction. *)
-type link =
+type link = Prog.link =
   | L_none
   | L_target of int (* jmp/jcc destination *)
   | L_call of int (* callee entry index *)
@@ -63,56 +69,25 @@ let trap fmt = Fmt.kstr (fun s -> raise (Trap s)) fmt
 
 let load ?(cost_model = Cost.default) ?(mem_size = 1 lsl 20) (p : Prog.t) =
   Prog.validate p;
-  let code = ref [] and n = ref 0 in
-  let label_ix = Hashtbl.create 64 in
-  let func_ix = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Prog.func) ->
-      Hashtbl.replace func_ix f.fname !n;
-      List.iter
-        (fun (b : Prog.block) ->
-          if Hashtbl.mem label_ix b.label then
-            Prog.ill_formed "duplicate label across program: %s" b.label;
-          Hashtbl.replace label_ix b.label !n;
-          List.iter
-            (fun i ->
-              code := i :: !code;
-              incr n)
-            b.insns)
-        f.blocks)
-    p.funcs;
-  let code = Array.of_list (List.rev !code) in
-  let len = Array.length code in
-  let resolve_label l =
-    if String.equal l Prog.exit_function_label then L_detect
-    else
-      match Hashtbl.find_opt label_ix l with
-      | Some i -> L_target i
-      | None -> Prog.ill_formed "unresolved label %s" l
-  in
-  let links =
-    Array.map
-      (fun (i : Instr.ins) ->
-        match i.op with
-        | Instr.Jmp l | Instr.Jcc (_, l) -> resolve_label l
-        | Instr.Call f ->
-          if String.equal f Prog.builtin_print then L_print
-          else if String.equal f Prog.builtin_detect then L_detect
-          else (
-            match Hashtbl.find_opt func_ix f with
-            | Some i -> L_call i
-            | None -> Prog.ill_formed "unresolved call %s" f)
-        | _ -> L_none)
-      code
-  in
+  let fl = Prog.flatten p in
+  let code = fl.Prog.code and links = fl.Prog.links in
+  Array.iteri
+    (fun ip link ->
+      match (link, code.(ip).Instr.op) with
+      | L_none, (Instr.Jmp l | Instr.Jcc (_, l)) ->
+        Prog.ill_formed "unresolved label %s" l
+      | L_none, Instr.Call f -> Prog.ill_formed "unresolved call %s" f
+      | _ -> ())
+    links;
   let costs = Array.map (Cost.cost cost_model) code in
   let dests = Array.map (fun (i : Instr.ins) -> Instr.defs i.op) code in
   let entry_ip =
-    match Hashtbl.find_opt func_ix p.entry with
+    match Hashtbl.find_opt fl.Prog.func_index p.entry with
     | Some i -> i
     | None -> Prog.ill_formed "no entry %s" p.entry
   in
-  { code; links; costs; dests; entry_ip; halt_ip = len + 1; mem_size }
+  { code; links; costs; dests; entry_ip; halt_ip = Array.length code + 1;
+    mem_size }
 
 (* ------------------------------------------------------------------ *)
 (* Architectural state.                                                *)
@@ -247,6 +222,14 @@ let output st = List.rev st.out_rev
 (* Register / memory access helpers.                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Unboxed register-file access for the lowered bodies: these compile
+   to direct loads/stores on the bigarray data pointer.  Indices are
+   decode-time constants in [0, 15], so the unchecked variants are
+   safe. *)
+external bget : regfile -> int -> int64 = "%caml_ba_unsafe_ref_1"
+
+external bset : regfile -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
+
 let mask_of_size = function
   | Reg.B -> 0xFFL
   | Reg.W -> 0xFFFFL
@@ -258,27 +241,6 @@ let sign_extend v = function
   | Reg.W -> Int64.shift_right (Int64.shift_left v 48) 48
   | Reg.D -> Int64.shift_right (Int64.shift_left v 32) 32
   | Reg.Q -> v
-
-let read_gpr st r s =
-  Int64.logand st.gpr.{Reg.gpr_index r} (mask_of_size s)
-
-(* x86 semantics: 32-bit writes zero the upper half, 8/16-bit writes
-   merge into the old value. *)
-let write_gpr st r s v =
-  let i = Reg.gpr_index r in
-  match s with
-  | Reg.Q -> st.gpr.{i} <- v
-  | Reg.D -> st.gpr.{i} <- Int64.logand v 0xFFFFFFFFL
-  | Reg.W ->
-    st.gpr.{i} <-
-      Int64.logor
-        (Int64.logand st.gpr.{i} (Int64.lognot 0xFFFFL))
-        (Int64.logand v 0xFFFFL)
-  | Reg.B ->
-    st.gpr.{i} <-
-      Int64.logor
-        (Int64.logand st.gpr.{i} (Int64.lognot 0xFFL))
-        (Int64.logand v 0xFFL)
 
 let effective_address st (m : Instr.mem) =
   let base =
@@ -339,15 +301,9 @@ let write_mem st addr s v =
     mark_dirty st a 8;
     Bytes.set_int64_le st.mem a v
 
-let read_operand st s = function
-  | Instr.Imm i -> Int64.logand i (mask_of_size s)
-  | Instr.Reg r -> read_gpr st r s
-  | Instr.Mem m -> read_mem st (effective_address st m) s
+let simd_lane st x lane = st.simd.{(x * 8) + lane}
 
-let write_operand st s v = function
-  | Instr.Imm _ -> trap "write to immediate"
-  | Instr.Reg r -> write_gpr st r s v
-  | Instr.Mem m -> write_mem st (effective_address st m) s v
+let set_simd_lane st x lane v = st.simd.{(x * 8) + lane} <- v
 
 (* ------------------------------------------------------------------ *)
 (* Flags.                                                              *)
@@ -381,8 +337,6 @@ let set_flags_sub st s a b res =
   st.cf <- Int64.unsigned_compare a b < 0;
   st.off <- sign_bit a s <> sign_bit b s && sign_bit res s <> sign_bit a s
 
-let eval_cond st c = Cond.eval c ~zf:st.zf ~sf:st.sf ~cf:st.cf ~of_:st.off
-
 (* ------------------------------------------------------------------ *)
 (* Stack helpers.                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -401,192 +355,361 @@ let pop st =
   v
 
 (* ------------------------------------------------------------------ *)
-(* One execution step.                                                 *)
+(* Lowering: the one definition of each opcode's semantics.            *)
 (* ------------------------------------------------------------------ *)
 
-let simd_lane st x lane = st.simd.{(x * 8) + lane}
+(* Effective address with base/index/disp resolved at decode time. *)
+let mk_ea (m : Instr.mem) : state -> int64 =
+  let disp = Int64.of_int m.Instr.disp in
+  match (m.Instr.base, m.Instr.index) with
+  | None, None -> fun _ -> disp
+  | Some b, None ->
+    let bi = Reg.gpr_index b in
+    if m.Instr.disp = 0 then fun st -> bget st.gpr bi
+    else fun st -> Int64.add (bget st.gpr bi) disp
+  | None, Some x ->
+    let xi = Reg.gpr_index x in
+    let sc = Int64.of_int m.Instr.scale in
+    fun st -> Int64.add (Int64.mul (bget st.gpr xi) sc) disp
+  | Some b, Some x ->
+    let bi = Reg.gpr_index b and xi = Reg.gpr_index x in
+    let sc = Int64.of_int m.Instr.scale in
+    fun st ->
+      Int64.add
+        (Int64.add (bget st.gpr bi) (Int64.mul (bget st.gpr xi) sc))
+        disp
 
-let set_simd_lane st x lane v = st.simd.{(x * 8) + lane} <- v
+(* Operand reads are masked to the access size. *)
+let mk_read s (o : Instr.operand) : state -> int64 =
+  match o with
+  | Instr.Imm i ->
+    let v = Int64.logand i (mask_of_size s) in
+    fun _ -> v
+  | Instr.Reg r -> (
+    let i = Reg.gpr_index r in
+    match s with
+    | Reg.Q -> fun st -> bget st.gpr i
+    | _ ->
+      let m = mask_of_size s in
+      fun st -> Int64.logand (bget st.gpr i) m)
+  | Instr.Mem m ->
+    let ea = mk_ea m in
+    fun st -> read_mem st (ea st) s
 
-let exec_alu st op s src dst =
-  let a = read_operand st s dst and b = read_operand st s src in
-  let res =
-    match op with
-    | Instr.Add -> Int64.add a b
-    | Instr.Sub -> Int64.sub a b
-    | Instr.Imul -> Int64.mul (sign_extend a s) (sign_extend b s)
-    | Instr.And -> Int64.logand a b
-    | Instr.Or -> Int64.logor a b
-    | Instr.Xor -> Int64.logxor a b
-  in
-  (match op with
-  | Instr.Add -> set_flags_add st s a b res
-  | Instr.Sub -> set_flags_sub st s a b res
-  | Instr.Imul | Instr.And | Instr.Or | Instr.Xor -> set_flags_logic st s res);
-  write_operand st s res dst
+(* x86 semantics: 32-bit writes zero the upper half, 8/16-bit writes
+   merge into the old value. *)
+let mk_write_gpr s r : state -> int64 -> unit =
+  let i = Reg.gpr_index r in
+  match s with
+  | Reg.Q -> fun st v -> bset st.gpr i v
+  | Reg.D -> fun st v -> bset st.gpr i (Int64.logand v 0xFFFFFFFFL)
+  | Reg.W ->
+    fun st v ->
+      bset st.gpr i
+        (Int64.logor
+           (Int64.logand (bget st.gpr i) (Int64.lognot 0xFFFFL))
+           (Int64.logand v 0xFFFFL))
+  | Reg.B ->
+    fun st v ->
+      bset st.gpr i
+        (Int64.logor
+           (Int64.logand (bget st.gpr i) (Int64.lognot 0xFFL))
+           (Int64.logand v 0xFFL))
 
-let exec_shift st k s amt dst =
-  let a = read_operand st s dst in
-  let n =
-    match amt with
-    | Instr.Amt_imm n -> n
-    | Instr.Amt_cl -> Int64.to_int (read_gpr st Reg.RCX Reg.B)
-  in
-  let n = n land (if s = Reg.Q then 63 else 31) in
-  let res =
-    match k with
-    | Instr.Shl -> Int64.shift_left a n
-    | Instr.Sar -> Int64.shift_right (sign_extend a s) n
-    | Instr.Shr -> Int64.shift_right_logical (Int64.logand a (mask_of_size s)) n
-  in
-  set_flags_logic st s res;
-  write_operand st s res dst
+let mk_write s (o : Instr.operand) : state -> int64 -> unit =
+  match o with
+  | Instr.Imm _ -> fun _ _ -> trap "write to immediate"
+  | Instr.Reg r -> mk_write_gpr s r
+  | Instr.Mem m ->
+    let ea = mk_ea m in
+    fun st v -> write_mem st (ea st) s v
 
-let step (img : image) (st : state) =
-  let ip = st.ip in
-  let ins = img.code.(ip) in
-  st.cycles <- st.cycles +. img.costs.(ip);
-  st.steps <- st.steps + 1;
-  st.ip <- ip + 1;
-  (match ins.op with
-  | Instr.Mov (s, src, dst) -> write_operand st s (read_operand st s src) dst
+let lower_cond (c : Cond.t) : state -> bool =
+  match c with
+  | Cond.E -> fun st -> st.zf
+  | Cond.NE -> fun st -> not st.zf
+  | Cond.L -> fun st -> st.sf <> st.off
+  | Cond.LE -> fun st -> st.zf || st.sf <> st.off
+  | Cond.G -> fun st -> (not st.zf) && st.sf = st.off
+  | Cond.GE -> fun st -> st.sf = st.off
+  | Cond.B -> fun st -> st.cf
+  | Cond.BE -> fun st -> st.cf || st.zf
+  | Cond.A -> fun st -> (not st.cf) && not st.zf
+  | Cond.AE -> fun st -> not st.cf
+  | Cond.S -> fun st -> st.sf
+  | Cond.NS -> fun st -> not st.sf
+
+(* Lane-wise xor of the low [n] lanes, read-then-write in lane order
+   (visible when the destination aliases a source). *)
+let xor_lanes n a b d st =
+  for lane = 0 to n - 1 do
+    set_simd_lane st d lane
+      (Int64.logxor (simd_lane st a lane) (simd_lane st b lane))
+  done
+
+(* vptest over the low [n] lanes: ZF = (b AND a) = 0, CF = (b AND NOT
+   a) = 0, SF = OF = 0. *)
+let test_lanes n a b st =
+  let and_zero = ref true and andn_zero = ref true in
+  for lane = 0 to n - 1 do
+    let va = simd_lane st a lane and vb = simd_lane st b lane in
+    if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
+    if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
+      andn_zero := false
+  done;
+  st.zf <- !and_zero;
+  st.cf <- !andn_zero;
+  st.sf <- false;
+  st.off <- false
+
+(* The body of the instruction at [ip]: operands, links and the halt
+   sentinel resolved now, so executing it matches on nothing.  Reads
+   happen before writes, flags before the destination write-back, and
+   every trap message is part of the contract (campaign records carry
+   it).  The caller does the step accounting first. *)
+let lower (img : image) ip : state -> unit =
+  match img.code.(ip).Instr.op with
+  | Instr.Mov (s, src, dst) ->
+    let rd = mk_read s src and wr = mk_write s dst in
+    fun st ->
+      let v = rd st in
+      wr st v
   | Instr.Movslq (src, r) ->
-    write_gpr st r Reg.Q (sign_extend (read_operand st Reg.D src) Reg.D)
-  | Instr.Movzbq (src, r) -> write_gpr st r Reg.Q (read_operand st Reg.B src)
-  | Instr.Lea (m, r) -> write_gpr st r Reg.Q (effective_address st m)
-  | Instr.Alu (op, s, src, dst) -> exec_alu st op s src dst
-  | Instr.Shift (k, s, amt, dst) -> exec_shift st k s amt dst
+    let rd = mk_read Reg.D src and wr = mk_write_gpr Reg.Q r in
+    fun st -> wr st (sign_extend (rd st) Reg.D)
+  | Instr.Movzbq (src, r) ->
+    let rd = mk_read Reg.B src and wr = mk_write_gpr Reg.Q r in
+    fun st -> wr st (rd st)
+  | Instr.Lea (m, r) ->
+    let ea = mk_ea m and wr = mk_write_gpr Reg.Q r in
+    fun st -> wr st (ea st)
+  | Instr.Alu (aop, s, src, dst) -> (
+    let rda = mk_read s dst and rdb = mk_read s src in
+    let wr = mk_write s dst in
+    match aop with
+    | Instr.Add ->
+      fun st ->
+        let a = rda st in
+        let b = rdb st in
+        let res = Int64.add a b in
+        set_flags_add st s a b res;
+        wr st res
+    | Instr.Sub ->
+      fun st ->
+        let a = rda st in
+        let b = rdb st in
+        let res = Int64.sub a b in
+        set_flags_sub st s a b res;
+        wr st res
+    | Instr.Imul ->
+      fun st ->
+        let a = rda st in
+        let b = rdb st in
+        let res = Int64.mul (sign_extend a s) (sign_extend b s) in
+        set_flags_logic st s res;
+        wr st res
+    | Instr.And ->
+      fun st ->
+        let a = rda st in
+        let b = rdb st in
+        let res = Int64.logand a b in
+        set_flags_logic st s res;
+        wr st res
+    | Instr.Or ->
+      fun st ->
+        let a = rda st in
+        let b = rdb st in
+        let res = Int64.logor a b in
+        set_flags_logic st s res;
+        wr st res
+    | Instr.Xor ->
+      fun st ->
+        let a = rda st in
+        let b = rdb st in
+        let res = Int64.logxor a b in
+        set_flags_logic st s res;
+        wr st res)
+  | Instr.Shift (k, s, amt, dst) ->
+    let rda = mk_read s dst and wr = mk_write s dst in
+    let amt_mask = if s = Reg.Q then 63 else 31 in
+    let rdn =
+      match amt with
+      | Instr.Amt_imm n ->
+        let n = n land amt_mask in
+        fun _ -> n
+      | Instr.Amt_cl ->
+        let rcx = Reg.gpr_index Reg.RCX in
+        fun st -> Int64.to_int (Int64.logand (bget st.gpr rcx) 0xFFL) land amt_mask
+    in
+    let shift =
+      match k with
+      | Instr.Shl -> fun a n -> Int64.shift_left a n
+      | Instr.Sar -> fun a n -> Int64.shift_right (sign_extend a s) n
+      | Instr.Shr ->
+        let m = mask_of_size s in
+        fun a n -> Int64.shift_right_logical (Int64.logand a m) n
+    in
+    fun st ->
+      let a = rda st in
+      let n = rdn st in
+      let res = shift a n in
+      set_flags_logic st s res;
+      wr st res
   | Instr.Neg (s, dst) ->
-    let a = read_operand st s dst in
-    let res = Int64.neg a in
-    set_flags_sub st s 0L a res;
-    write_operand st s res dst
+    let rd = mk_read s dst and wr = mk_write s dst in
+    fun st ->
+      let a = rd st in
+      let res = Int64.neg a in
+      set_flags_sub st s 0L a res;
+      wr st res
   | Instr.Not (s, dst) ->
-    write_operand st s (Int64.lognot (read_operand st s dst)) dst
+    let rd = mk_read s dst and wr = mk_write s dst in
+    fun st -> wr st (Int64.lognot (rd st))
   | Instr.Cmp (s, src, dst) ->
-    let a = read_operand st s dst and b = read_operand st s src in
-    set_flags_sub st s a b (Int64.sub a b)
+    let rda = mk_read s dst and rdb = mk_read s src in
+    fun st ->
+      let a = rda st in
+      let b = rdb st in
+      set_flags_sub st s a b (Int64.sub a b)
   | Instr.Test (s, src, dst) ->
-    let a = read_operand st s dst and b = read_operand st s src in
-    set_flags_logic st s (Int64.logand a b)
+    let rda = mk_read s dst and rdb = mk_read s src in
+    fun st ->
+      let a = rda st in
+      let b = rdb st in
+      set_flags_logic st s (Int64.logand a b)
   | Instr.Set (c, dst) ->
-    write_operand st Reg.B (if eval_cond st c then 1L else 0L) dst
+    let ev = lower_cond c and wr = mk_write Reg.B dst in
+    fun st -> wr st (if ev st then 1L else 0L)
   | Instr.Jmp _ -> (
     match img.links.(ip) with
-    | L_target t -> st.ip <- t
-    | L_detect -> raise (Halt Detected)
-    | _ -> trap "bad jmp link")
-  | Instr.Jcc (c, _) ->
-    if eval_cond st c then (
-      match img.links.(ip) with
-      | L_target t -> st.ip <- t
-      | L_detect -> raise (Halt Detected)
-      | _ -> trap "bad jcc link")
+    | L_target t -> fun st -> st.ip <- t
+    | L_detect -> fun _ -> raise (Halt Detected)
+    | _ -> fun _ -> trap "bad jmp link")
+  | Instr.Jcc (c, _) -> (
+    let ev = lower_cond c in
+    match img.links.(ip) with
+    | L_target t -> fun st -> if ev st then st.ip <- t
+    | L_detect -> fun st -> if ev st then raise (Halt Detected)
+    | _ -> fun st -> if ev st then trap "bad jcc link")
   | Instr.Call _ -> (
     match img.links.(ip) with
     | L_call entry ->
-      push st (Int64.of_int st.ip);
-      st.ip <- entry
-    | L_print -> st.out_rev <- st.gpr.{Reg.gpr_index Reg.RDI} :: st.out_rev
-    | L_detect -> raise (Halt Detected)
-    | _ -> trap "bad call link")
+      fun st ->
+        push st (Int64.of_int st.ip);
+        st.ip <- entry
+    | L_print ->
+      let rdi = Reg.gpr_index Reg.RDI in
+      fun st -> st.out_rev <- bget st.gpr rdi :: st.out_rev
+    | L_detect -> fun _ -> raise (Halt Detected)
+    | _ -> fun _ -> trap "bad call link")
   | Instr.Ret ->
-    let ra = Int64.to_int (pop st) in
-    if ra = img.halt_ip then raise (Halt (Exit (output st)))
-    else if ra < 0 || ra >= Array.length img.code then
-      trap "wild return to %d" ra
-    else st.ip <- ra
-  | Instr.Push src -> push st (read_operand st Reg.Q src)
-  | Instr.Pop r -> write_gpr st r Reg.Q (pop st)
+    let halt_ip = img.halt_ip in
+    let len = Array.length img.code in
+    fun st ->
+      let ra = Int64.to_int (pop st) in
+      if ra = halt_ip then raise (Halt (Exit (output st)))
+      else if ra < 0 || ra >= len then trap "wild return to %d" ra
+      else st.ip <- ra
+  | Instr.Push src ->
+    let rd = mk_read Reg.Q src in
+    fun st -> push st (rd st)
+  | Instr.Pop r ->
+    let wr = mk_write_gpr Reg.Q r in
+    fun st -> wr st (pop st)
   | Instr.Cqto ->
-    let a = st.gpr.{Reg.gpr_index Reg.RAX} in
-    st.gpr.{Reg.gpr_index Reg.RDX} <- Int64.shift_right a 63
+    let rax = Reg.gpr_index Reg.RAX and rdx = Reg.gpr_index Reg.RDX in
+    fun st -> bset st.gpr rdx (Int64.shift_right (bget st.gpr rax) 63)
   | Instr.Idiv (s, src) ->
-    if s <> Reg.Q then trap "idiv: only 64-bit division is supported";
-    let d = read_operand st s src in
-    if Int64.equal d 0L then trap "divide by zero";
-    let rax = st.gpr.{Reg.gpr_index Reg.RAX} in
-    let rdx = st.gpr.{Reg.gpr_index Reg.RDX} in
-    (* The backend always sign-extends with cqto first; anything else
-       denotes a corrupted RDX and raises the divide-error trap, as the
-       quotient would not fit in 64 bits. *)
-    if not (Int64.equal rdx (Int64.shift_right rax 63)) then
-      trap "divide overflow"
-    else begin
-      st.gpr.{Reg.gpr_index Reg.RAX} <- Int64.div rax d;
-      st.gpr.{Reg.gpr_index Reg.RDX} <- Int64.rem rax d
-    end
+    if s <> Reg.Q then fun _ -> trap "idiv: only 64-bit division is supported"
+    else
+      let rd = mk_read Reg.Q src in
+      let rax = Reg.gpr_index Reg.RAX and rdx_i = Reg.gpr_index Reg.RDX in
+      fun st ->
+        let d = rd st in
+        if Int64.equal d 0L then trap "divide by zero";
+        let a = bget st.gpr rax in
+        let rdx = bget st.gpr rdx_i in
+        (* The backend always sign-extends with cqto first; anything else
+           denotes a corrupted RDX and raises the divide-error trap, as
+           the quotient would not fit in 64 bits. *)
+        if not (Int64.equal rdx (Int64.shift_right a 63)) then
+          trap "divide overflow"
+        else begin
+          bset st.gpr rax (Int64.div a d);
+          bset st.gpr rdx_i (Int64.rem a d)
+        end
   | Instr.MovQ_to_xmm (src, x) ->
-    set_simd_lane st x 0 (read_operand st Reg.Q src);
-    set_simd_lane st x 1 0L
-  | Instr.MovQ_from_xmm (x, r) -> write_gpr st r Reg.Q (simd_lane st x 0)
+    let rd = mk_read Reg.Q src in
+    fun st ->
+      set_simd_lane st x 0 (rd st);
+      set_simd_lane st x 1 0L
+  | Instr.MovQ_from_xmm (x, r) ->
+    let wr = mk_write_gpr Reg.Q r in
+    fun st -> wr st (simd_lane st x 0)
   | Instr.Pinsrq (lane, src, x) ->
-    let v =
+    let rd =
       match src with
-      | Instr.Psrc_reg r -> read_gpr st r Reg.Q
-      | Instr.Psrc_mem m -> read_mem st (effective_address st m) Reg.Q
+      | Instr.Psrc_reg r -> mk_read Reg.Q (Instr.Reg r)
+      | Instr.Psrc_mem m ->
+        let ea = mk_ea m in
+        fun st -> read_mem st (ea st) Reg.Q
     in
-    set_simd_lane st x lane v
-  | Instr.Pextrq (lane, x, r) -> write_gpr st r Reg.Q (simd_lane st x lane)
+    fun st -> set_simd_lane st x lane (rd st)
+  | Instr.Pextrq (lane, x, r) ->
+    let wr = mk_write_gpr Reg.Q r in
+    fun st -> wr st (simd_lane st x lane)
   | Instr.Vinserti128 (half, s, a, d) ->
-    let lo0, lo1 =
-      if half = 0 then (simd_lane st s 0, simd_lane st s 1)
-      else (simd_lane st a 0, simd_lane st a 1)
-    in
-    let hi0, hi1 =
-      if half = 1 then (simd_lane st s 0, simd_lane st s 1)
-      else (simd_lane st a 2, simd_lane st a 3)
-    in
-    set_simd_lane st d 0 lo0;
-    set_simd_lane st d 1 lo1;
-    set_simd_lane st d 2 hi0;
-    set_simd_lane st d 3 hi1
-  | Instr.Vpxor (a, b, d) ->
-    for lane = 0 to 3 do
-      set_simd_lane st d lane
-        (Int64.logxor (simd_lane st a lane) (simd_lane st b lane))
-    done
-  | Instr.Vptest (a, b) ->
-    let and_zero = ref true and andn_zero = ref true in
-    for lane = 0 to 3 do
-      let va = simd_lane st a lane and vb = simd_lane st b lane in
-      if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-      if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-        andn_zero := false
-    done;
-    st.zf <- !and_zero;
-    st.cf <- !andn_zero;
-    st.sf <- false;
-    st.off <- false
-  | Instr.Vinserti64x4 (half, src, a, d) ->
-    (* read everything first: src/a may alias d *)
-    let src_lanes = Array.init 4 (simd_lane st src) in
-    let a_lanes = Array.init 8 (simd_lane st a) in
-    for lane = 0 to 7 do
-      let v =
-        if half = 0 && lane < 4 then src_lanes.(lane)
-        else if half = 1 && lane >= 4 then src_lanes.(lane - 4)
-        else a_lanes.(lane)
+    fun st ->
+      let lo0, lo1 =
+        if half = 0 then (simd_lane st s 0, simd_lane st s 1)
+        else (simd_lane st a 0, simd_lane st a 1)
       in
-      set_simd_lane st d lane v
-    done
-  | Instr.Vpxorq512 (a, b, d) ->
-    for lane = 0 to 7 do
-      set_simd_lane st d lane
-        (Int64.logxor (simd_lane st a lane) (simd_lane st b lane))
-    done
-  | Instr.Vptestmq512 (a, b) ->
-    let and_zero = ref true and andn_zero = ref true in
-    for lane = 0 to 7 do
-      let va = simd_lane st a lane and vb = simd_lane st b lane in
-      if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-      if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-        andn_zero := false
-    done;
-    st.zf <- !and_zero;
-    st.cf <- !andn_zero;
-    st.sf <- false;
-    st.off <- false);
+      let hi0, hi1 =
+        if half = 1 then (simd_lane st s 0, simd_lane st s 1)
+        else (simd_lane st a 2, simd_lane st a 3)
+      in
+      set_simd_lane st d 0 lo0;
+      set_simd_lane st d 1 lo1;
+      set_simd_lane st d 2 hi0;
+      set_simd_lane st d 3 hi1
+  | Instr.Vpxor (a, b, d) -> xor_lanes 4 a b d
+  | Instr.Vptest (a, b) -> test_lanes 4 a b
+  | Instr.Vinserti64x4 (half, src, a, d) ->
+    fun st ->
+      (* read everything first: src/a may alias d *)
+      let src_lanes = Array.init 4 (simd_lane st src) in
+      let a_lanes = Array.init 8 (simd_lane st a) in
+      for lane = 0 to 7 do
+        let v =
+          if half = 0 && lane < 4 then src_lanes.(lane)
+          else if half = 1 && lane >= 4 then src_lanes.(lane - 4)
+          else a_lanes.(lane)
+        in
+        set_simd_lane st d lane v
+      done
+  | Instr.Vpxorq512 (a, b, d) -> xor_lanes 8 a b d
+  | Instr.Vptestmq512 (a, b) -> test_lanes 8 a b
+
+(* ------------------------------------------------------------------ *)
+(* One execution step.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Retire the instruction at [ip] through its lowered [body]: the step
+   accounting, then the body. *)
+let retire (img : image) st ip body =
+  st.cycles <- st.cycles +. img.costs.(ip);
+  st.steps <- st.steps + 1;
+  st.ip <- ip + 1;
+  body st
+
+(* A single step lowers the one instruction it executes; the run loops
+   below lower the whole image once per run.  Neither keeps the bodies
+   past the call: images outlive their runs in long-lived processes
+   (the serve daemon resolves one per submission), and retained bodies
+   would grow their heaps. *)
+let step (img : image) (st : state) =
+  let ip = st.ip in
+  retire img st ip (lower img ip);
   ip
 
 (* ------------------------------------------------------------------ *)
@@ -620,10 +743,12 @@ let default_fuel = 50_000_000
    {!run} dispatches on [on_step] exactly once. *)
 let run_unobserved ~fuel (img : image) (st : state) =
   let len = Array.length img.code in
+  let bodies = Array.init len (lower img) in
   try
     while st.steps < fuel do
-      if st.ip >= len || st.ip < 0 then trap "control reached 0x%x" st.ip;
-      ignore (step img st)
+      let ip = st.ip in
+      if ip >= len || ip < 0 then trap "control reached 0x%x" ip;
+      retire img st ip bodies.(ip)
     done;
     Timeout
   with
@@ -632,15 +757,16 @@ let run_unobserved ~fuel (img : image) (st : state) =
 
 let run_observed ~fuel ~f (img : image) (st : state) =
   let len = Array.length img.code in
+  let bodies = Array.init len (lower img) in
   try
     while st.steps < fuel do
-      if st.ip >= len || st.ip < 0 then trap "control reached 0x%x" st.ip;
-      let ip0 = st.ip in
-      (match step img st with
-      | idx -> f st idx
+      let ip = st.ip in
+      if ip >= len || ip < 0 then trap "control reached 0x%x" ip;
+      match retire img st ip bodies.(ip) with
+      | () -> f st ip
       | exception Halt o ->
-        f st ip0;
-        raise (Halt o))
+        f st ip;
+        raise (Halt o)
     done;
     Timeout
   with

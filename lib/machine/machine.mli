@@ -21,8 +21,9 @@ val equal_outcome : outcome -> outcome -> bool
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** Pre-resolved control-flow target of an instruction. *)
-type link =
+(** Pre-resolved control-flow target of an instruction (see
+    {!Ferrum_asm.Prog.flatten}). *)
+type link = Prog.link =
   | L_none
   | L_target of int
   | L_call of int
@@ -46,15 +47,16 @@ exception Trap of string
 
 exception Halt of outcome
 
-(** Flatten, validate and link a program.  Default memory size is 1 MiB;
-    the stack starts at its top, global data sits near the bottom
-    (see {!Ferrum_backend.Backend.global_base}). *)
+(** Validate, flatten ({!Ferrum_asm.Prog.flatten}) and link a program;
+    an unresolved jump or call target raises {!Ferrum_asm.Prog.Ill_formed}.
+    Default memory size is 1 MiB; the stack starts at its top, global
+    data sits near the bottom (see {!Ferrum_backend.Backend.global_base}). *)
 val load : ?cost_model:Cost.model -> ?mem_size:int -> Prog.t -> image
 
 (** {1 Dirty-page tracking}
 
     Memory is divided into [page_size]-byte pages; when tracking is
-    attached to a state, every {!write_mem}-routed store logs the pages
+    attached to a state, every store the machine executes logs the pages
     it touches.  {!Snapshot} uses the log to capture per-checkpoint
     memory deltas and to undo a run's writes incrementally instead of
     re-blitting the whole image. *)
@@ -147,47 +149,34 @@ val flip_flag : state -> Cond.flag -> unit
     file (used by the propagation tracer to locate store targets). *)
 val effective_address : state -> Instr.mem -> int64
 
-(** {1 Decoder support}
-
-    The building blocks of {!step}, exposed so {!Predecode} can lower
-    instructions into resolved-operand closures with the exact same
-    masking, flag, trap and dirty-page behaviour. *)
-
 (** Raise {!Trap} with a formatted message. *)
 val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val mask_of_size : Reg.size -> int64
-val sign_extend : int64 -> Reg.size -> int64
-val read_gpr : state -> Reg.gpr -> Reg.size -> int64
-
-(** Bounds-checked loads/stores; stores route through the dirty-page
-    log when one is attached. *)
-val read_mem : state -> int64 -> Reg.size -> int64
-
-val write_mem : state -> int64 -> Reg.size -> int64 -> unit
-
 (** [check_addr st addr bytes] validates an access of [bytes] bytes at
-    [addr] and returns it as an int offset, trapping exactly like the
-    interpreter on an out-of-range access. *)
+    [addr] and returns it as an int offset, trapping with the machine's
+    message on an out-of-range access. *)
 val check_addr : state -> int64 -> int -> int
 
 (** Mark the page(s) of an [n]-byte write at offset [a] dirty when a
     log is attached (inlined stores call this after their own bounds
     check). *)
 val mark_dirty : state -> int -> int -> unit
-val set_flags_logic : state -> Reg.size -> int64 -> unit
-val set_flags_add : state -> Reg.size -> int64 -> int64 -> int64 -> unit
-val set_flags_sub : state -> Reg.size -> int64 -> int64 -> int64 -> unit
 
-(** Stack push/pop with x86 RSP adjustment. *)
-val push : state -> int64 -> unit
+(** [lower img ip] is the semantics of the instruction at static index
+    [ip]: a closure over its decode-time-resolved operands, link and the
+    halt sentinel.  It does not do the step accounting — the caller adds
+    the cost to the cycle count, bumps [steps] and sets [ip] to [ip + 1]
+    first, as {!step} does.  Raises {!Halt} when the program ends and
+    {!Trap} on a machine fault.  This is the only definition of each
+    opcode; {!Predecode} uses it for every index it has no specialized
+    arm for. *)
+val lower : image -> int -> state -> unit
 
-val pop : state -> int64
-val simd_lane : state -> Reg.simd -> int -> int64
-val set_simd_lane : state -> Reg.simd -> int -> int64 -> unit
+(** Decode-time lowering of a condition code to a flag predicate. *)
+val lower_cond : Cond.t -> state -> bool
 
-(** Execute exactly one instruction and return the static index of the
-    instruction that retired.  Raises {!Halt} when the program ends and
+(** Execute exactly one instruction (lowering it with {!lower}) and
+    return the static index of the instruction that retired.  Raises {!Halt} when the program ends and
     {!Trap} on a machine fault; callers driving a lockstep re-execution
     (e.g. {!Ferrum_telemetry.Propagation}) must handle both.  Does not
     check that [state.ip] is within the code array — {!run} does that
@@ -196,7 +185,8 @@ val step : image -> state -> int
 
 val default_fuel : int
 
-(** Run to halt, trap or fuel exhaustion.  [on_step] receives the state
+(** Run to halt, trap or fuel exhaustion over the image's {!lower}ed
+    bodies (lowered once per call).  [on_step] receives the state
     and the static index of the instruction that just retired (its
     destinations are in [image.dests]); mutations it performs are
     visible to the next step.  Every retired instruction is observed,

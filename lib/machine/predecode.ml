@@ -1,11 +1,9 @@
 (* Pre-decoded threaded dispatch.
 
-   [Machine.step] re-matches operand constructors, re-resolves effective
-   addresses and re-reads link tables on every retired instruction.  This
-   module lowers an {!Machine.image} once into a flat array of
-   resolved-operand closures — one thunk per static index, each doing the
-   exact accounting preamble ([cycles]/[steps]/[ip]) followed by a body
-   specialized at decode time — and drives them from three loops:
+   This module lowers an {!Machine.image} once into a flat array of
+   closures — one thunk per static index, each doing the exact
+   accounting preamble ([cycles]/[steps]/[ip]) followed by the
+   instruction's body — and drives them from three loops:
 
    - {!exec}: the unobserved fast path (golden walks, checkpoint suffix
      replays, untraced campaign samples).  No observer branch, no operand
@@ -19,9 +17,17 @@
      exact step or site boundaries (checkpoint capture walks, prefix
      replays to the injection site).
 
-   Two representation choices make the specialized thunks allocation-free
-   (the legacy loop boxes an [Int64] result and a [float] cycle counter
-   on nearly every step):
+   Bodies come from one of two places.  The generic body of every
+   opcode is {!Machine.lower}, the machine's own and only definition of
+   its semantics.  On top of it sit specialized arms ({!fast_thunk})
+   and one flat superinstruction body ({!fuse_pair}), kept only for the
+   shapes the protected catalogue actually selects: each inlines the
+   accounting, operand dataflow and flag predicates of its shape so a
+   retired instruction is one allocation-free closure call.  A shape no
+   catalogue program selects has no arm; it runs the generic body.
+
+   Two representation choices keep the specialized thunks
+   allocation-free:
 
    - Register files are int64 bigarrays ({!Machine.regfile}), so register
      reads and writes compile to unboxed loads/stores with no GC write
@@ -46,13 +52,8 @@
    the second element is a join point (jump target, callee entry, the
    instruction after a call, the program entry) or a caller-supplied
    [avoid] site (the injector passes its eligible-site mask so a prefix
-   stop never lands mid-pair).
-
-   Everything is proven bit-identical to the legacy loop by the engine
-   identity suites; [enabled := false] routes every entry point back
-   through [Machine.step]/[Machine.run] (and replays the fused-step
-   accounting over the retirement stream) so the two dispatchers stay
-   directly comparable. *)
+   stop never lands mid-pair).  The engine identity suites check every
+   entry point against the reference stepper in [test/]. *)
 
 open Ferrum_asm
 
@@ -69,13 +70,11 @@ external bset : Machine.regfile -> int -> int64 -> unit
    [Machine.check_addr] has validated the access (the checked/unchecked
    variants agree on every address the check admits).  Native-endian:
    the specialized memory arms are built only on little-endian hosts
-   (x86 order); big-endian hosts fall back to the generic bodies, which
-   go through [Machine.read_mem]/[write_mem]. *)
+   (x86 order); big-endian hosts fall back to the generic bodies of
+   [Machine.lower]. *)
 external b_get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 
 external b_set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
-
-external b_get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
 
 let little_endian = not Sys.big_endian
 
@@ -98,11 +97,6 @@ type t = {
 
 (* Raised by a fused thunk when fuel runs out between its two halves. *)
 exception Fuel
-
-(* Kill switch: [false] routes every entry point through the legacy
-   [Machine.step]/[Machine.run] loop.  The identity suites and the bench
-   baseline column use it to compare the two dispatchers byte-for-byte. *)
-let enabled = ref true
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide dispatch counters (per worker after a fork).           *)
@@ -128,30 +122,8 @@ let fast_steps () = ctr.c_fast_steps
 let fused_steps () = ctr.c_fused_steps
 
 (* ------------------------------------------------------------------ *)
-(* Operand specialization (generic closures, for the composed bodies). *)
+(* Thunk construction.                                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Effective address with base/index/disp resolved at decode time. *)
-let mk_ea (m : Instr.mem) : Machine.state -> int64 =
-  let disp = Int64.of_int m.Instr.disp in
-  match (m.Instr.base, m.Instr.index) with
-  | None, None -> fun _ -> disp
-  | Some b, None ->
-    let bi = Reg.gpr_index b in
-    if m.Instr.disp = 0 then fun st -> bget st.Machine.gpr bi
-    else fun st -> Int64.add (bget st.Machine.gpr bi) disp
-  | None, Some x ->
-    let xi = Reg.gpr_index x in
-    let sc = Int64.of_int m.Instr.scale in
-    fun st -> Int64.add (Int64.mul (bget st.Machine.gpr xi) sc) disp
-  | Some b, Some x ->
-    let bi = Reg.gpr_index b and xi = Reg.gpr_index x in
-    let sc = Int64.of_int m.Instr.scale in
-    fun st ->
-      Int64.add
-        (Int64.add (bget st.Machine.gpr bi)
-           (Int64.mul (bget st.Machine.gpr xi) sc))
-        disp
 
 (* Decode-time encoding of an effective address as plain scalars, for
    the specialized arms: base/index register slots ([-1] = absent), the
@@ -164,84 +136,96 @@ let addr_parts (m : Instr.mem) =
     Int64.of_int m.Instr.scale,
     Int64.of_int m.Instr.disp )
 
-let mk_read s (o : Instr.operand) : Machine.state -> int64 =
-  match o with
-  | Instr.Imm i ->
-    let v = Int64.logand i (Machine.mask_of_size s) in
-    fun _ -> v
-  | Instr.Reg r -> (
-    let i = Reg.gpr_index r in
-    match s with
-    | Reg.Q -> fun st -> bget st.Machine.gpr i
-    | _ ->
-      let m = Machine.mask_of_size s in
-      fun st -> Int64.logand (bget st.Machine.gpr i) m)
-  | Instr.Mem m ->
-    let ea = mk_ea m in
-    fun st -> Machine.read_mem st (ea st) s
+(* The accounting every thunk starts with, as in [Machine.step]: the
+   instruction's cost, the step count, the fall-through [ip]. *)
+let[@inline] account cyc (st : Machine.state) cost next =
+  cyc.fv <- cyc.fv +. cost;
+  st.Machine.steps <- st.Machine.steps + 1;
+  st.Machine.ip <- next
 
-let mk_write_gpr s r : Machine.state -> int64 -> unit =
-  let i = Reg.gpr_index r in
-  match s with
-  | Reg.Q -> fun st v -> bset st.Machine.gpr i v
-  | Reg.D -> fun st v -> bset st.Machine.gpr i (Int64.logand v 0xFFFFFFFFL)
-  | Reg.W ->
-    fun st v ->
-      bset st.Machine.gpr i
-        (Int64.logor
-           (Int64.logand (bget st.Machine.gpr i) (Int64.lognot 0xFFFFL))
-           (Int64.logand v 0xFFFFL))
-  | Reg.B ->
-    fun st v ->
-      bset st.Machine.gpr i
-        (Int64.logor
-           (Int64.logand (bget st.Machine.gpr i) (Int64.lognot 0xFFL))
-           (Int64.logand v 0xFFL))
+(* Offset of the 8-byte access at an {!addr_parts} address, bounds
+   checked and trapping exactly like [Machine.check_addr].  Inlined into
+   each memory arm, so the address never leaves machine registers. *)
+let[@inline] checked8 (st : Machine.state) g bi xi sc disp =
+  let addr =
+    Int64.add
+      (Int64.add
+         (if bi >= 0 then bget g bi else 0L)
+         (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
+      disp
+  in
+  let ml = Bytes.length st.Machine.mem in
+  let a = Int64.to_int addr in
+  if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0 then
+    Machine.trap "memory access at 0x%Lx" addr;
+  a
 
-let mk_write s (o : Instr.operand) : Machine.state -> int64 -> unit =
-  match o with
-  | Instr.Imm _ -> fun _ _ -> Machine.trap "write to immediate"
-  | Instr.Reg r -> mk_write_gpr s r
-  | Instr.Mem m ->
-    let ea = mk_ea m in
-    fun st v -> Machine.write_mem st (ea st) s v
+(* The [Reg.Q] flag rules of [Machine.lower] for subtract/compare and
+   for logic ops (and shifts, multiply): masking with [-1L] dropped,
+   the sign bit a plain sign compare, and [Int64.unsigned_compare a b
+   < 0] rewritten as the sign-flipped signed compare below (the stdlib
+   function is not specialized by the compiler; the rewrite is). *)
+let[@inline] sub_flags (st : Machine.state) a b res =
+  st.Machine.zf <- Int64.equal res 0L;
+  st.Machine.sf <- res < 0L;
+  st.Machine.cf <- Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
+  st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L)
 
-let mk_cond (c : Cond.t) : Machine.state -> bool =
-  match c with
-  | Cond.E -> fun st -> st.Machine.zf
-  | Cond.NE -> fun st -> not st.Machine.zf
-  | Cond.L -> fun st -> st.Machine.sf <> st.Machine.off
-  | Cond.LE -> fun st -> st.Machine.zf || st.Machine.sf <> st.Machine.off
-  | Cond.G -> fun st -> (not st.Machine.zf) && st.Machine.sf = st.Machine.off
-  | Cond.GE -> fun st -> st.Machine.sf = st.Machine.off
-  | Cond.B -> fun st -> st.Machine.cf
-  | Cond.BE -> fun st -> st.Machine.cf || st.Machine.zf
-  | Cond.A -> fun st -> (not st.Machine.cf) && not st.Machine.zf
-  | Cond.AE -> fun st -> not st.Machine.cf
-  | Cond.S -> fun st -> st.Machine.sf
-  | Cond.NS -> fun st -> not st.Machine.sf
+let[@inline] logic_flags (st : Machine.state) res =
+  st.Machine.zf <- Int64.equal res 0L;
+  st.Machine.sf <- res < 0L;
+  st.Machine.cf <- false;
+  st.Machine.off <- false
 
-(* ------------------------------------------------------------------ *)
-(* Thunk construction.                                                 *)
-(* ------------------------------------------------------------------ *)
+(* The 256-bit duplicate/check pair, shared by their arms and the
+   flattened pair body (inlined into each).  [vpxor4] reads then
+   writes lane by lane, in lane order, like [Machine.lower] (visible
+   when the destination aliases a source); [vptest4] sets ZF/CF from
+   the and/and-not accumulations over the four lanes. *)
+let[@inline] vpxor4 s a8 b8 d8 =
+  bset s d8 (Int64.logxor (bget s a8) (bget s b8));
+  bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
+  bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
+  bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3)))
 
-(* Fully-specialized thunks for the catalogue's hottest shapes: 64-bit
-   moves and ALU (including memory operands, with the effective address
-   and the bounds check expanded inline), the SIMD duplicate/check ops
-   the protection transforms emit, resolved jumps, [lea], [set],
-   immediate shifts.  Each arm textually inlines the accounting
-   preamble, its operand dataflow and its flag predicates, so a retired
-   instruction is one closure call with no allocation.  Everything else
-   goes through the generic composed body below.  [None] means "no fast
-   shape".
+let[@inline] vptest4 (st : Machine.state) a8 b8 =
+  let s = st.Machine.simd in
+  let a0 = bget s a8
+  and a1 = bget s (a8 + 1)
+  and a2 = bget s (a8 + 2)
+  and a3 = bget s (a8 + 3) in
+  let b0 = bget s b8
+  and b1 = bget s (b8 + 1)
+  and b2 = bget s (b8 + 2)
+  and b3 = bget s (b8 + 3) in
+  let and_acc =
+    Int64.logor
+      (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
+      (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
+  in
+  let andn_acc =
+    Int64.logor
+      (Int64.logor
+         (Int64.logand b0 (Int64.lognot a0))
+         (Int64.logand b1 (Int64.lognot a1)))
+      (Int64.logor
+         (Int64.logand b2 (Int64.lognot a2))
+         (Int64.logand b3 (Int64.lognot a3)))
+  in
+  st.Machine.zf <- Int64.equal and_acc 0L;
+  st.Machine.cf <- Int64.equal andn_acc 0L;
+  st.Machine.sf <- false;
+  st.Machine.off <- false
 
-   Flag predicates are the [Reg.Q] specializations of
-   [Machine.set_flags_*]: masking with [-1L] dropped, [sign_bit] a plain
-   sign compare, and [Int64.unsigned_compare a b < 0] rewritten as the
-   sign-flipped signed compare
-   [Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int]
-   (the stdlib function is not specialized by the compiler; the
-   rewrite is). *)
+(* Fully-specialized thunks for the shapes the protected catalogue
+   selects: 64-bit moves and ALU (including memory operands, with the
+   effective address and the bounds check expanded inline), the SIMD
+   duplicate/check ops the protection transforms emit, resolved jumps,
+   [lea], [set], immediate shifts.  Each arm inlines the accounting,
+   its operand dataflow and its flag predicates (the [@inline] helpers
+   above), so a retired instruction is one closure call with no
+   allocation.  Everything else runs [Machine.lower]'s generic body.
+   [None] means "no fast shape". *)
 let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     (Machine.state -> unit) option =
   match op with
@@ -251,17 +235,13 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm v ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           bset st.Machine.gpr di v)
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let g = st.Machine.gpr in
           bset g di (bget g ri))
     | Instr.Mem m ->
@@ -270,77 +250,28 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            let a = checked8 st g bi xi sc disp in
             bset g di (b_get64u st.Machine.mem a)))
-  | Instr.Mov (Reg.Q, src, Instr.Mem m) -> (
+  | Instr.Mov (Reg.Q, Instr.Reg r, Instr.Mem m) ->
     if not little_endian then None
     else
       let bi, xi, sc, disp = addr_parts m in
-      match src with
-      | Instr.Imm v ->
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
-            Machine.mark_dirty st a 8;
-            b_set64u st.Machine.mem a v)
-      | Instr.Reg r ->
-        let ri = Reg.gpr_index r in
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
-            Machine.mark_dirty st a 8;
-            b_set64u st.Machine.mem a (bget g ri))
-      | Instr.Mem _ -> None)
+      let ri = Reg.gpr_index r in
+      Some
+        (fun st ->
+          account cyc st cost next;
+          let g = st.Machine.gpr in
+          let a = checked8 st g bi xi sc disp in
+          Machine.mark_dirty st a 8;
+          b_set64u st.Machine.mem a (bget g ri))
   | Instr.Lea (m, d) ->
     let di = Reg.gpr_index d in
     let bi, xi, sc, disp = addr_parts m in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        account cyc st cost next;
         let g = st.Machine.gpr in
         bset g di
           (Int64.add
@@ -365,9 +296,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Add ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
             let a = bget g di in
             let b = if si >= 0 then bget g si else iv in
@@ -382,209 +311,72 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       | Instr.Sub ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
             let a = bget g di in
             let b = if si >= 0 then bget g si else iv in
             let res = Int64.sub a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L);
+            sub_flags st a b res;
             bset g di res)
       | Instr.Imul ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
             let a = bget g di in
             let b = if si >= 0 then bget g si else iv in
             let res = Int64.mul a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
-            bset g di res)
-      | Instr.And ->
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let res =
-              Int64.logand (bget g di) (if si >= 0 then bget g si else iv)
-            in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
-            bset g di res)
-      | Instr.Or ->
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
-            let g = st.Machine.gpr in
-            let res =
-              Int64.logor (bget g di) (if si >= 0 then bget g si else iv)
-            in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
+            logic_flags st res;
             bset g di res)
       | Instr.Xor ->
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
             let res =
               Int64.logxor (bget g di) (if si >= 0 then bget g si else iv)
             in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <- false;
-            st.Machine.off <- false;
-            bset g di res)))
+            logic_flags st res;
+            bset g di res)
+      | Instr.And | Instr.Or -> None))
   | Instr.Cmp (Reg.Q, src, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
     match src with
-    | Instr.Imm iv ->
-      Some
-        (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
-          let a = bget st.Machine.gpr di in
-          let res = Int64.sub a iv in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <-
-            Int64.logxor a Int64.min_int < Int64.logxor iv Int64.min_int;
-          st.Machine.off <- a < 0L <> (iv < 0L) && res < 0L <> (a < 0L))
+    | Instr.Imm _ -> None
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let g = st.Machine.gpr in
           let a = bget g di in
           let b = bget g ri in
           let res = Int64.sub a b in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <-
-            Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-          st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L))
+          sub_flags st a b res)
     | Instr.Mem m ->
       if not little_endian then None
       else
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
             let a = bget g di in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let ai = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || ai + 8 > ml || ai < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            let ai = checked8 st g bi xi sc disp in
             let b = b_get64u st.Machine.mem ai in
             let res = Int64.sub a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L)))
-  | Instr.Test (Reg.Q, src, Instr.Reg d) -> (
-    let di = Reg.gpr_index d in
-    match
-      match src with
-      | Instr.Imm i -> Some (-1, i)
-      | Instr.Reg r -> Some (Reg.gpr_index r, 0L)
-      | Instr.Mem _ -> None
-    with
-    | None -> None
-    | Some (si, iv) ->
-      Some
-        (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
-          let g = st.Machine.gpr in
-          let res =
-            Int64.logand (bget g di) (if si >= 0 then bget g si else iv)
-          in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false))
+            sub_flags st a b res))
   | Instr.Set (c, Instr.Reg d) ->
     let di = Reg.gpr_index d in
-    let ev = mk_cond c in
+    let ev = Machine.lower_cond c in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        account cyc st cost next;
         let g = st.Machine.gpr in
         bset g di
           (Int64.logor
              (Int64.logand (bget g di) (Int64.lognot 0xFFL))
              (if ev st then 1L else 0L)))
-  | Instr.Movslq (Instr.Reg r, d) ->
-    let ri = Reg.gpr_index r and di = Reg.gpr_index d in
-    Some
-      (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let g = st.Machine.gpr in
-        bset g di
-          (Int64.shift_right (Int64.shift_left (bget g ri) 32) 32))
-  | Instr.Movslq (Instr.Mem m, d) ->
-    if not little_endian then None
-    else
-      let di = Reg.gpr_index d in
-      let bi, xi, sc, disp = addr_parts m in
-      Some
-        (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
-          let g = st.Machine.gpr in
-          let addr =
-            Int64.add
-              (Int64.add
-                 (if bi >= 0 then bget g bi else 0L)
-                 (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-              disp
-          in
-          let ml = Bytes.length st.Machine.mem in
-          let a = Int64.to_int addr in
-          if addr < 0L || addr >= Int64.of_int ml || a + 4 > ml || a < 0 then
-            Machine.trap "memory access at 0x%Lx" addr;
-          bset g di (Int64.of_int32 (b_get32u st.Machine.mem a)))
   | Instr.Shift (k, Reg.Q, Instr.Amt_imm n, Instr.Reg d) -> (
     let di = Reg.gpr_index d in
     let n = n land 63 in
@@ -592,55 +384,38 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Shl ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let g = st.Machine.gpr in
           let res = Int64.shift_left (bget g di) n in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false;
+          logic_flags st res;
           bset g di res)
     | Instr.Sar ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let g = st.Machine.gpr in
           let res = Int64.shift_right (bget g di) n in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false;
+          logic_flags st res;
           bset g di res)
     | Instr.Shr ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let g = st.Machine.gpr in
           let res = Int64.shift_right_logical (bget g di) n in
-          st.Machine.zf <- Int64.equal res 0L;
-          st.Machine.sf <- res < 0L;
-          st.Machine.cf <- false;
-          st.Machine.off <- false;
+          logic_flags st res;
           bset g di res))
   | Instr.Jmp _ -> (
     match img.Machine.links.(ip) with
     | Machine.L_target t ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- t)
+          account cyc st cost t)
     | _ -> None)
   | Instr.Jcc (c, _) -> (
     match img.Machine.links.(ip) with
     | Machine.L_target t ->
-      let ev = mk_cond c in
+      let ev = Machine.lower_cond c in
       Some
         (fun st ->
           cyc.fv <- cyc.fv +. cost;
@@ -653,9 +428,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     | Instr.Imm v ->
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let s = st.Machine.simd in
           bset s x8 v;
           bset s (x8 + 1) 0L)
@@ -663,9 +436,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           let s = st.Machine.simd in
           bset s x8 (bget st.Machine.gpr ri);
           bset s (x8 + 1) 0L)
@@ -675,32 +446,12 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            let a = checked8 st g bi xi sc disp in
             let s = st.Machine.simd in
             bset s x8 (b_get64u st.Machine.mem a);
             bset s (x8 + 1) 0L))
-  | Instr.MovQ_from_xmm (x, r) ->
-    let x8 = x * 8 and di = Reg.gpr_index r in
-    Some
-      (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        bset st.Machine.gpr di (bget st.Machine.simd x8))
   | Instr.Pinsrq (lane, src, x) -> (
     let li = (x * 8) + lane in
     match src with
@@ -708,9 +459,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. cost;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- next;
+          account cyc st cost next;
           bset st.Machine.simd li (bget st.Machine.gpr ri))
     | Instr.Psrc_mem m ->
       if not little_endian then None
@@ -718,34 +467,14 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         let bi, xi, sc, disp = addr_parts m in
         Some
           (fun st ->
-            cyc.fv <- cyc.fv +. cost;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- next;
+            account cyc st cost next;
             let g = st.Machine.gpr in
-            let addr =
-              Int64.add
-                (Int64.add
-                   (if bi >= 0 then bget g bi else 0L)
-                   (if xi >= 0 then Int64.mul (bget g xi) sc else 0L))
-                disp
-            in
-            let ml = Bytes.length st.Machine.mem in
-            let a = Int64.to_int addr in
-            if addr < 0L || addr >= Int64.of_int ml || a + 8 > ml || a < 0
-            then Machine.trap "memory access at 0x%Lx" addr;
+            let a = checked8 st g bi xi sc disp in
             bset st.Machine.simd li (b_get64u st.Machine.mem a)))
-  | Instr.Pextrq (lane, x, r) ->
-    let li = (x * 8) + lane and di = Reg.gpr_index r in
-    Some
-      (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        bset st.Machine.gpr di (bget st.Machine.simd li))
   | Instr.Vinserti128 (half, sx, ax, dx) ->
     (* The half selector is a decode-time constant, so the four source
        lanes are fixed slots; reads complete before any write, exactly
-       like the interpreter (src/dst may alias). *)
+       like [Machine.lower] (src/dst may alias). *)
     let s8 = sx * 8 and a8 = ax * 8 and d8 = dx * 8 in
     let l0 = if half = 0 then s8 else a8 in
     let l1 = l0 + 1 in
@@ -753,9 +482,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let h1 = h0 + 1 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
+        account cyc st cost next;
         let s = st.Machine.simd in
         let lo0 = bget s l0 in
         let lo1 = bget s l1 in
@@ -769,350 +496,15 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
     let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        (* lane-by-lane read-then-write, in lane order, like the
-           interpreter's loop (visible if dst aliases a source) *)
-        bset s d8 (Int64.logxor (bget s a8) (bget s b8));
-        bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
-        bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
-        bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3))))
+        account cyc st cost next;
+        vpxor4 st.Machine.simd a8 b8 d8)
   | Instr.Vptest (ax, bx) ->
     let a8 = ax * 8 and b8 = bx * 8 in
     Some
       (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        let a0 = bget s a8
-        and a1 = bget s (a8 + 1)
-        and a2 = bget s (a8 + 2)
-        and a3 = bget s (a8 + 3) in
-        let b0 = bget s b8
-        and b1 = bget s (b8 + 1)
-        and b2 = bget s (b8 + 2)
-        and b3 = bget s (b8 + 3) in
-        let and_acc =
-          Int64.logor
-            (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
-            (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
-        in
-        let andn_acc =
-          Int64.logor
-            (Int64.logor
-               (Int64.logand b0 (Int64.lognot a0))
-               (Int64.logand b1 (Int64.lognot a1)))
-            (Int64.logor
-               (Int64.logand b2 (Int64.lognot a2))
-               (Int64.logand b3 (Int64.lognot a3)))
-        in
-        st.Machine.zf <- Int64.equal and_acc 0L;
-        st.Machine.cf <- Int64.equal andn_acc 0L;
-        st.Machine.sf <- false;
-        st.Machine.off <- false)
-  | Instr.Vpxorq512 (ax, bx, dx) ->
-    let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
-    Some
-      (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        for lane = 0 to 7 do
-          bset s (d8 + lane)
-            (Int64.logxor (bget s (a8 + lane)) (bget s (b8 + lane)))
-        done)
-  | Instr.Vptestmq512 (ax, bx) ->
-    let a8 = ax * 8 and b8 = bx * 8 in
-    Some
-      (fun st ->
-        cyc.fv <- cyc.fv +. cost;
-        st.Machine.steps <- st.Machine.steps + 1;
-        st.Machine.ip <- next;
-        let s = st.Machine.simd in
-        let and_acc = ref 0L and andn_acc = ref 0L in
-        for lane = 0 to 7 do
-          let va = bget s (a8 + lane) and vb = bget s (b8 + lane) in
-          and_acc := Int64.logor !and_acc (Int64.logand vb va);
-          andn_acc := Int64.logor !andn_acc (Int64.logand vb (Int64.lognot va))
-        done;
-        st.Machine.zf <- Int64.equal !and_acc 0L;
-        st.Machine.cf <- Int64.equal !andn_acc 0L;
-        st.Machine.sf <- false;
-        st.Machine.off <- false)
+        account cyc st cost next;
+        vptest4 st a8 b8)
   | _ -> None
-
-(* Generic body: operand closures resolved at decode time, evaluation
-   order and trap messages textually mirrored from [Machine.step]. *)
-let mk_body (img : Machine.image) ip (op : Instr.t) : Machine.state -> unit =
-  match op with
-  | Instr.Mov (s, src, dst) ->
-    let rd = mk_read s src and wr = mk_write s dst in
-    fun st ->
-      let v = rd st in
-      wr st v
-  | Instr.Movslq (src, r) ->
-    let rd = mk_read Reg.D src and wr = mk_write_gpr Reg.Q r in
-    fun st -> wr st (Machine.sign_extend (rd st) Reg.D)
-  | Instr.Movzbq (src, r) ->
-    let rd = mk_read Reg.B src and wr = mk_write_gpr Reg.Q r in
-    fun st -> wr st (rd st)
-  | Instr.Lea (m, r) ->
-    let ea = mk_ea m and wr = mk_write_gpr Reg.Q r in
-    fun st -> wr st (ea st)
-  | Instr.Alu (aop, s, src, dst) -> (
-    let rda = mk_read s dst and rdb = mk_read s src in
-    let wr = mk_write s dst in
-    match aop with
-    | Instr.Add ->
-      fun st ->
-        let a = rda st in
-        let b = rdb st in
-        let res = Int64.add a b in
-        Machine.set_flags_add st s a b res;
-        wr st res
-    | Instr.Sub ->
-      fun st ->
-        let a = rda st in
-        let b = rdb st in
-        let res = Int64.sub a b in
-        Machine.set_flags_sub st s a b res;
-        wr st res
-    | Instr.Imul ->
-      fun st ->
-        let a = rda st in
-        let b = rdb st in
-        let res =
-          Int64.mul (Machine.sign_extend a s) (Machine.sign_extend b s)
-        in
-        Machine.set_flags_logic st s res;
-        wr st res
-    | Instr.And ->
-      fun st ->
-        let a = rda st in
-        let b = rdb st in
-        let res = Int64.logand a b in
-        Machine.set_flags_logic st s res;
-        wr st res
-    | Instr.Or ->
-      fun st ->
-        let a = rda st in
-        let b = rdb st in
-        let res = Int64.logor a b in
-        Machine.set_flags_logic st s res;
-        wr st res
-    | Instr.Xor ->
-      fun st ->
-        let a = rda st in
-        let b = rdb st in
-        let res = Int64.logxor a b in
-        Machine.set_flags_logic st s res;
-        wr st res)
-  | Instr.Shift (k, s, amt, dst) ->
-    let rda = mk_read s dst and wr = mk_write s dst in
-    let amt_mask = if s = Reg.Q then 63 else 31 in
-    let rdn =
-      match amt with
-      | Instr.Amt_imm n ->
-        let n = n land amt_mask in
-        fun _ -> n
-      | Instr.Amt_cl ->
-        fun (st : Machine.state) ->
-          Int64.to_int (Machine.read_gpr st Reg.RCX Reg.B) land amt_mask
-    in
-    let shift =
-      match k with
-      | Instr.Shl -> fun a n -> Int64.shift_left a n
-      | Instr.Sar -> fun a n -> Int64.shift_right (Machine.sign_extend a s) n
-      | Instr.Shr ->
-        let m = Machine.mask_of_size s in
-        fun a n -> Int64.shift_right_logical (Int64.logand a m) n
-    in
-    fun st ->
-      let a = rda st in
-      let n = rdn st in
-      let res = shift a n in
-      Machine.set_flags_logic st s res;
-      wr st res
-  | Instr.Neg (s, dst) ->
-    let rd = mk_read s dst and wr = mk_write s dst in
-    fun st ->
-      let a = rd st in
-      let res = Int64.neg a in
-      Machine.set_flags_sub st s 0L a res;
-      wr st res
-  | Instr.Not (s, dst) ->
-    let rd = mk_read s dst and wr = mk_write s dst in
-    fun st -> wr st (Int64.lognot (rd st))
-  | Instr.Cmp (s, src, dst) ->
-    let rda = mk_read s dst and rdb = mk_read s src in
-    fun st ->
-      let a = rda st in
-      let b = rdb st in
-      Machine.set_flags_sub st s a b (Int64.sub a b)
-  | Instr.Test (s, src, dst) ->
-    let rda = mk_read s dst and rdb = mk_read s src in
-    fun st ->
-      let a = rda st in
-      let b = rdb st in
-      Machine.set_flags_logic st s (Int64.logand a b)
-  | Instr.Set (c, dst) ->
-    let ev = mk_cond c and wr = mk_write Reg.B dst in
-    fun st -> wr st (if ev st then 1L else 0L)
-  | Instr.Jmp _ -> (
-    match img.Machine.links.(ip) with
-    | Machine.L_target t -> fun st -> st.Machine.ip <- t
-    | Machine.L_detect -> fun _ -> raise (Machine.Halt Machine.Detected)
-    | _ -> fun _ -> Machine.trap "bad jmp link")
-  | Instr.Jcc (c, _) -> (
-    let ev = mk_cond c in
-    match img.Machine.links.(ip) with
-    | Machine.L_target t -> fun st -> if ev st then st.Machine.ip <- t
-    | Machine.L_detect ->
-      fun st -> if ev st then raise (Machine.Halt Machine.Detected)
-    | _ -> fun st -> if ev st then Machine.trap "bad jcc link")
-  | Instr.Call _ -> (
-    match img.Machine.links.(ip) with
-    | Machine.L_call entry ->
-      fun st ->
-        Machine.push st (Int64.of_int st.Machine.ip);
-        st.Machine.ip <- entry
-    | Machine.L_print ->
-      let rdi = Reg.gpr_index Reg.RDI in
-      fun st ->
-        st.Machine.out_rev <- bget st.Machine.gpr rdi :: st.Machine.out_rev
-    | Machine.L_detect -> fun _ -> raise (Machine.Halt Machine.Detected)
-    | _ -> fun _ -> Machine.trap "bad call link")
-  | Instr.Ret ->
-    let halt_ip = img.Machine.halt_ip in
-    let len = Array.length img.Machine.code in
-    fun st ->
-      let ra = Int64.to_int (Machine.pop st) in
-      if ra = halt_ip then
-        raise (Machine.Halt (Machine.Exit (Machine.output st)))
-      else if ra < 0 || ra >= len then Machine.trap "wild return to %d" ra
-      else st.Machine.ip <- ra
-  | Instr.Push src ->
-    let rd = mk_read Reg.Q src in
-    fun st -> Machine.push st (rd st)
-  | Instr.Pop r ->
-    let wr = mk_write_gpr Reg.Q r in
-    fun st -> wr st (Machine.pop st)
-  | Instr.Cqto ->
-    let rax = Reg.gpr_index Reg.RAX and rdx = Reg.gpr_index Reg.RDX in
-    fun st ->
-      bset st.Machine.gpr rdx (Int64.shift_right (bget st.Machine.gpr rax) 63)
-  | Instr.Idiv (s, src) ->
-    if s <> Reg.Q then fun _ ->
-      Machine.trap "idiv: only 64-bit division is supported"
-    else
-      let rd = mk_read Reg.Q src in
-      let rax = Reg.gpr_index Reg.RAX and rdx_i = Reg.gpr_index Reg.RDX in
-      fun st ->
-        let d = rd st in
-        if Int64.equal d 0L then Machine.trap "divide by zero";
-        let a = bget st.Machine.gpr rax in
-        let rdx = bget st.Machine.gpr rdx_i in
-        if not (Int64.equal rdx (Int64.shift_right a 63)) then
-          Machine.trap "divide overflow"
-        else begin
-          bset st.Machine.gpr rax (Int64.div a d);
-          bset st.Machine.gpr rdx_i (Int64.rem a d)
-        end
-  | Instr.MovQ_to_xmm (src, x) ->
-    let rd = mk_read Reg.Q src in
-    fun st ->
-      Machine.set_simd_lane st x 0 (rd st);
-      Machine.set_simd_lane st x 1 0L
-  | Instr.MovQ_from_xmm (x, r) ->
-    let wr = mk_write_gpr Reg.Q r in
-    fun st -> wr st (Machine.simd_lane st x 0)
-  | Instr.Pinsrq (lane, src, x) ->
-    let rd =
-      match src with
-      | Instr.Psrc_reg r ->
-        let i = Reg.gpr_index r in
-        fun (st : Machine.state) -> bget st.Machine.gpr i
-      | Instr.Psrc_mem m ->
-        let ea = mk_ea m in
-        fun st -> Machine.read_mem st (ea st) Reg.Q
-    in
-    fun st -> Machine.set_simd_lane st x lane (rd st)
-  | Instr.Pextrq (lane, x, r) ->
-    let wr = mk_write_gpr Reg.Q r in
-    fun st -> wr st (Machine.simd_lane st x lane)
-  | Instr.Vinserti128 (half, s, a, d) ->
-    fun st ->
-      let lo0, lo1 =
-        if half = 0 then (Machine.simd_lane st s 0, Machine.simd_lane st s 1)
-        else (Machine.simd_lane st a 0, Machine.simd_lane st a 1)
-      in
-      let hi0, hi1 =
-        if half = 1 then (Machine.simd_lane st s 0, Machine.simd_lane st s 1)
-        else (Machine.simd_lane st a 2, Machine.simd_lane st a 3)
-      in
-      Machine.set_simd_lane st d 0 lo0;
-      Machine.set_simd_lane st d 1 lo1;
-      Machine.set_simd_lane st d 2 hi0;
-      Machine.set_simd_lane st d 3 hi1
-  | Instr.Vpxor (a, b, d) ->
-    fun st ->
-      for lane = 0 to 3 do
-        Machine.set_simd_lane st d lane
-          (Int64.logxor (Machine.simd_lane st a lane)
-             (Machine.simd_lane st b lane))
-      done
-  | Instr.Vptest (a, b) ->
-    fun st ->
-      let and_zero = ref true and andn_zero = ref true in
-      for lane = 0 to 3 do
-        let va = Machine.simd_lane st a lane
-        and vb = Machine.simd_lane st b lane in
-        if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-        if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-          andn_zero := false
-      done;
-      st.Machine.zf <- !and_zero;
-      st.Machine.cf <- !andn_zero;
-      st.Machine.sf <- false;
-      st.Machine.off <- false
-  | Instr.Vinserti64x4 (half, src, a, d) ->
-    fun st ->
-      (* read everything first: src/a may alias d *)
-      let src_lanes = Array.init 4 (Machine.simd_lane st src) in
-      let a_lanes = Array.init 8 (Machine.simd_lane st a) in
-      for lane = 0 to 7 do
-        let v =
-          if half = 0 && lane < 4 then src_lanes.(lane)
-          else if half = 1 && lane >= 4 then src_lanes.(lane - 4)
-          else a_lanes.(lane)
-        in
-        Machine.set_simd_lane st d lane v
-      done
-  | Instr.Vpxorq512 (a, b, d) ->
-    fun st ->
-      for lane = 0 to 7 do
-        Machine.set_simd_lane st d lane
-          (Int64.logxor (Machine.simd_lane st a lane)
-             (Machine.simd_lane st b lane))
-      done
-  | Instr.Vptestmq512 (a, b) ->
-    fun st ->
-      let and_zero = ref true and andn_zero = ref true in
-      for lane = 0 to 7 do
-        let va = Machine.simd_lane st a lane
-        and vb = Machine.simd_lane st b lane in
-        if not (Int64.equal (Int64.logand vb va) 0L) then and_zero := false;
-        if not (Int64.equal (Int64.logand vb (Int64.lognot va)) 0L) then
-          andn_zero := false
-      done;
-      st.Machine.zf <- !and_zero;
-      st.Machine.cf <- !andn_zero;
-      st.Machine.sf <- false;
-      st.Machine.off <- false
 
 let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
   let cost = img.Machine.costs.(ip) in
@@ -1121,11 +513,9 @@ let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
   match fast_thunk cyc ~cost ~next img ip op with
   | Some t -> t
   | None ->
-    let body = mk_body img ip op in
+    let body = Machine.lower img ip in
     fun st ->
-      cyc.fv <- cyc.fv +. cost;
-      st.Machine.steps <- st.Machine.steps + 1;
-      st.Machine.ip <- next;
+      account cyc st cost next;
       body st
 
 (* ------------------------------------------------------------------ *)
@@ -1134,10 +524,12 @@ let mk_thunk cyc (img : Machine.image) ip : Machine.state -> unit =
 
 (* Build the flattened pair thunk for [ip] and [ip+1], or [None] when
    no specialized combination applies (the generic two-call wrapper is
-   used instead).  Each half replays the exact legacy step: cycle cost,
+   used instead).  Each half replays the exact single step: cycle cost,
    step count, [ip] update, then the body — so a trap or fuel timeout
-   between the halves leaves the same architectural state the
-   interpreter would. *)
+   between the halves leaves the same architectural state [Machine.step]
+   would.  The one flat body is the duplicate-check sequence; the
+   catalogue's other hot pairs ([cmp]/[vptest] + [jcc]) branch to the
+   detector, so the wrapper's single-thunk halves serve them as well. *)
 let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
     len (img : Machine.image) ip : (Machine.state -> unit) option =
   let c1 = img.Machine.costs.(ip) and c2 = img.Machine.costs.(ip + 1) in
@@ -1155,146 +547,14 @@ let fuse_pair cyc (fuel : int ref) (fused : (Machine.state -> unit) array)
       and u8 = ty * 8 in
       Some
         (fun st ->
-          cyc.fv <- cyc.fv +. c1;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- n1;
-          let s = st.Machine.simd in
-          bset s d8 (Int64.logxor (bget s a8) (bget s b8));
-          bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
-          bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
-          bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3)));
+          account cyc st c1 n1;
+          vpxor4 st.Machine.simd a8 b8 d8;
           if st.Machine.steps >= !fuel then raise Fuel;
-          cyc.fv <- cyc.fv +. c2;
-          st.Machine.steps <- st.Machine.steps + 1;
-          st.Machine.ip <- n2;
-          let a0 = bget s t8
-          and a1 = bget s (t8 + 1)
-          and a2 = bget s (t8 + 2)
-          and a3 = bget s (t8 + 3) in
-          let b0 = bget s u8
-          and b1 = bget s (u8 + 1)
-          and b2 = bget s (u8 + 2)
-          and b3 = bget s (u8 + 3) in
-          let and_acc =
-            Int64.logor
-              (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
-              (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
-          in
-          let andn_acc =
-            Int64.logor
-              (Int64.logor
-                 (Int64.logand b0 (Int64.lognot a0))
-                 (Int64.logand b1 (Int64.lognot a1)))
-              (Int64.logor
-                 (Int64.logand b2 (Int64.lognot a2))
-                 (Int64.logand b3 (Int64.lognot a3)))
-          in
-          st.Machine.zf <- Int64.equal and_acc 0L;
-          st.Machine.cf <- Int64.equal andn_acc 0L;
-          st.Machine.sf <- false;
-          st.Machine.off <- false;
+          account cyc st c2 n2;
+          vptest4 st t8 u8;
           ctr.c_fused_steps <- ctr.c_fused_steps + 2;
           if st.Machine.steps < !fuel && n2 < len then
             (Array.unsafe_get fused n2) st)
-    | Instr.Vptest (ax, bx), Instr.Jcc (c, _) -> (
-      match img.Machine.links.(ip + 1) with
-      | Machine.L_target t ->
-        (* detector branch: test the accumulated difference mask, then
-           jump on the resulting ZF.  [ck] selects the condition read
-           (decode-constant): 0 = E, 1 = NE, 2 = general. *)
-        let a8 = ax * 8 and b8 = bx * 8 in
-        let ck =
-          match c with Cond.E -> 0 | Cond.NE -> 1 | _ -> 2
-        in
-        let ev = mk_cond c in
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. c1;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- n1;
-            let s = st.Machine.simd in
-            let a0 = bget s a8
-            and a1 = bget s (a8 + 1)
-            and a2 = bget s (a8 + 2)
-            and a3 = bget s (a8 + 3) in
-            let b0 = bget s b8
-            and b1 = bget s (b8 + 1)
-            and b2 = bget s (b8 + 2)
-            and b3 = bget s (b8 + 3) in
-            let and_acc =
-              Int64.logor
-                (Int64.logor (Int64.logand b0 a0) (Int64.logand b1 a1))
-                (Int64.logor (Int64.logand b2 a2) (Int64.logand b3 a3))
-            in
-            let andn_acc =
-              Int64.logor
-                (Int64.logor
-                   (Int64.logand b0 (Int64.lognot a0))
-                   (Int64.logand b1 (Int64.lognot a1)))
-                (Int64.logor
-                   (Int64.logand b2 (Int64.lognot a2))
-                   (Int64.logand b3 (Int64.lognot a3)))
-            in
-            st.Machine.zf <- Int64.equal and_acc 0L;
-            st.Machine.cf <- Int64.equal andn_acc 0L;
-            st.Machine.sf <- false;
-            st.Machine.off <- false;
-            if st.Machine.steps >= !fuel then raise Fuel;
-            cyc.fv <- cyc.fv +. c2;
-            st.Machine.steps <- st.Machine.steps + 1;
-            let taken =
-              if ck = 0 then st.Machine.zf
-              else if ck = 1 then not st.Machine.zf
-              else ev st
-            in
-            st.Machine.ip <- (if taken then t else n2);
-            ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-            let ip' = st.Machine.ip in
-            if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
-              (Array.unsafe_get fused ip') st)
-      | _ -> None)
-    | Instr.Cmp (Reg.Q, src, Instr.Reg d), Instr.Jcc (c, _) -> (
-      match (img.Machine.links.(ip + 1), src) with
-      | Machine.L_target t, (Instr.Imm _ | Instr.Reg _) ->
-        let di = Reg.gpr_index d in
-        let si, iv =
-          match src with
-          | Instr.Imm i -> (-1, i)
-          | Instr.Reg r -> (Reg.gpr_index r, 0L)
-          | Instr.Mem _ -> assert false
-        in
-        let ck =
-          match c with Cond.E -> 0 | Cond.NE -> 1 | _ -> 2
-        in
-        let ev = mk_cond c in
-        Some
-          (fun st ->
-            cyc.fv <- cyc.fv +. c1;
-            st.Machine.steps <- st.Machine.steps + 1;
-            st.Machine.ip <- n1;
-            let g = st.Machine.gpr in
-            let a = bget g di in
-            let b = if si >= 0 then bget g si else iv in
-            let res = Int64.sub a b in
-            st.Machine.zf <- Int64.equal res 0L;
-            st.Machine.sf <- res < 0L;
-            st.Machine.cf <-
-              Int64.logxor a Int64.min_int < Int64.logxor b Int64.min_int;
-            st.Machine.off <- a < 0L <> (b < 0L) && res < 0L <> (a < 0L);
-            if st.Machine.steps >= !fuel then raise Fuel;
-            cyc.fv <- cyc.fv +. c2;
-            st.Machine.steps <- st.Machine.steps + 1;
-            let taken =
-              if ck = 0 then st.Machine.zf
-              else if ck = 1 then not st.Machine.zf
-              else ev st
-            in
-            st.Machine.ip <- (if taken then t else n2);
-            ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-            let ip' = st.Machine.ip in
-            if st.Machine.steps < !fuel && ip' >= 0 && ip' < len then
-              (Array.unsafe_get fused ip') st)
-      | _ -> None)
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -1502,8 +762,6 @@ let get (img : Machine.image) : t =
 
 let length p = Array.length p.thunks
 
-let image p = p.img
-
 let fused_pairs p = p.n_fused
 
 let pattern_counts p = p.pattern_counts
@@ -1517,38 +775,6 @@ let is_fused_start p ip = p.fused_name.(ip) <> ""
 (* Execution loops.                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Legacy loop with the fused-step accounting replayed over the
-   retirement stream: [idx] then [idx+1] retiring back-to-back where
-   [idx] starts a fused pair is exactly when the fast loop runs the
-   pair thunk, so the counters (and the trace counters built from them)
-   are byte-identical whichever dispatcher ran. *)
-let exec_legacy ~fuel (p : t) (st : Machine.state) =
-  let img = p.img in
-  let len = Array.length img.Machine.code in
-  let s0 = st.Machine.steps in
-  let pending = ref (-1) in
-  let note idx =
-    if idx = !pending then begin
-      ctr.c_fused_steps <- ctr.c_fused_steps + 2;
-      pending := -1
-    end
-    else pending := (if p.fused_name.(idx) <> "" then idx + 1 else -1)
-  in
-  let outcome =
-    try
-      while st.Machine.steps < fuel do
-        if st.Machine.ip >= len || st.Machine.ip < 0 then
-          Machine.trap "control reached 0x%x" st.Machine.ip;
-        note (Machine.step img st)
-      done;
-      Machine.Timeout
-    with
-    | Machine.Halt o -> o
-    | Machine.Trap msg -> Machine.Crash msg
-  in
-  ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
-  outcome
-
 (* The unobserved fast path: threaded dispatch over the fused thunk
    array.  Bit-identical to [Machine.run] without an observer.  The
    cycle accumulator is seeded from the architectural field on entry
@@ -1556,34 +782,31 @@ let exec_legacy ~fuel (p : t) (st : Machine.state) =
    same float additions in the same order) whenever the caller can
    observe it. *)
 let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
-  if not !enabled then exec_legacy ~fuel p st
-  else begin
-    let s0 = st.Machine.steps in
-    let len = Array.length p.thunks in
-    let fused = p.fused in
-    let cyc = p.cyc in
-    p.fuel := fuel;
-    cyc.fv <- st.Machine.cycles;
-    let outcome =
-      try
-        while st.Machine.steps < fuel do
-          let ip = st.Machine.ip in
-          if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
-          (Array.unsafe_get fused ip) st
-        done;
-        Machine.Timeout
-      with
-      | Machine.Halt o -> o
-      | Machine.Trap msg -> Machine.Crash msg
-      | Fuel -> Machine.Timeout
-      | e ->
-        st.Machine.cycles <- cyc.fv;
-        raise e
-    in
-    st.Machine.cycles <- cyc.fv;
-    ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
-    outcome
-  end
+  let s0 = st.Machine.steps in
+  let len = Array.length p.thunks in
+  let fused = p.fused in
+  let cyc = p.cyc in
+  p.fuel := fuel;
+  cyc.fv <- st.Machine.cycles;
+  let outcome =
+    try
+      while st.Machine.steps < fuel do
+        let ip = st.Machine.ip in
+        if ip >= len || ip < 0 then Machine.trap "control reached 0x%x" ip;
+        (Array.unsafe_get fused ip) st
+      done;
+      Machine.Timeout
+    with
+    | Machine.Halt o -> o
+    | Machine.Trap msg -> Machine.Crash msg
+    | Fuel -> Machine.Timeout
+    | e ->
+      st.Machine.cycles <- cyc.fv;
+      raise e
+  in
+  st.Machine.cycles <- cyc.fv;
+  ctr.c_fast_steps <- ctr.c_fast_steps + (st.Machine.steps - s0);
+  outcome
 
 (* One pre-decoded step; returns the retired static index like
    [Machine.step].  Never fused, so callers that stop at exact step or
@@ -1594,18 +817,15 @@ let exec ?(fuel = Machine.default_fuel) (p : t) (st : Machine.state) =
    use safe: a lockstep observer may run [step1] on the same decoded
    program from inside [exec_observed]. *)
 let step1 (p : t) (st : Machine.state) =
-  if not !enabled then Machine.step p.img st
-  else begin
-    let ip = st.Machine.ip in
-    let cyc = p.cyc in
-    cyc.fv <- st.Machine.cycles;
-    (match (Array.unsafe_get p.thunks ip) st with
-    | () -> st.Machine.cycles <- cyc.fv
-    | exception e ->
-      st.Machine.cycles <- cyc.fv;
-      raise e);
-    ip
-  end
+  let ip = st.Machine.ip in
+  let cyc = p.cyc in
+  cyc.fv <- st.Machine.cycles;
+  (match (Array.unsafe_get p.thunks ip) st with
+  | () -> st.Machine.cycles <- cyc.fv
+  | exception e ->
+    st.Machine.cycles <- cyc.fv;
+    raise e);
+  ip
 
 (* The observed path: same per-step observer contract as
    [Machine.run ~on_step] — the observer sees every retired instruction
@@ -1616,30 +836,27 @@ let step1 (p : t) (st : Machine.state) =
    bracket tolerates reentrant [step1] calls on the same program. *)
 let exec_observed ?(fuel = Machine.default_fuel) ~on_step (p : t)
     (st : Machine.state) =
-  if not !enabled then Machine.run ~fuel ~on_step p.img st
-  else
-    let len = Array.length p.thunks in
-    let thunks = p.thunks in
-    let cyc = p.cyc in
-    try
-      while st.Machine.steps < fuel do
-        let ip0 = st.Machine.ip in
-        if ip0 >= len || ip0 < 0 then
-          Machine.trap "control reached 0x%x" ip0;
-        cyc.fv <- st.Machine.cycles;
-        (match (Array.unsafe_get thunks ip0) st with
-        | () ->
-          st.Machine.cycles <- cyc.fv;
-          on_step st ip0
-        | exception Machine.Halt o ->
-          st.Machine.cycles <- cyc.fv;
-          on_step st ip0;
-          raise (Machine.Halt o)
-        | exception e ->
-          st.Machine.cycles <- cyc.fv;
-          raise e)
-      done;
-      Machine.Timeout
-    with
-    | Machine.Halt o -> o
-    | Machine.Trap msg -> Machine.Crash msg
+  let len = Array.length p.thunks in
+  let thunks = p.thunks in
+  let cyc = p.cyc in
+  try
+    while st.Machine.steps < fuel do
+      let ip0 = st.Machine.ip in
+      if ip0 >= len || ip0 < 0 then Machine.trap "control reached 0x%x" ip0;
+      cyc.fv <- st.Machine.cycles;
+      (match (Array.unsafe_get thunks ip0) st with
+      | () ->
+        st.Machine.cycles <- cyc.fv;
+        on_step st ip0
+      | exception Machine.Halt o ->
+        st.Machine.cycles <- cyc.fv;
+        on_step st ip0;
+        raise (Machine.Halt o)
+      | exception e ->
+        st.Machine.cycles <- cyc.fv;
+        raise e)
+    done;
+    Machine.Timeout
+  with
+  | Machine.Halt o -> o
+  | Machine.Trap msg -> Machine.Crash msg

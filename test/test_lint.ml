@@ -300,6 +300,36 @@ let test_roundtrip_catalogue () =
         programs)
     Catalog.all
 
+(* Lint's static indices are the machine's: for every block's first
+   instruction and every uncovered site, the index the linter reports
+   is the one a layout-order count ({!Prog.fold_insns}, the injector's
+   convention) reaches, and [Machine.load] put that very instruction
+   there. *)
+let test_static_indices_agree () =
+  List.iter
+    (fun (e : Catalog.entry) ->
+      List.iter
+        (fun t ->
+          let p = (Pipeline.protect t (e.build ())).Pipeline.program in
+          let code = (Ferrum_machine.Machine.load p).code in
+          let sites = fst (Lint.uncovered p) in
+          let step (n, k, label) _ (b : Prog.block) ins =
+            let k = if String.equal label b.label then k + 1 else 0 in
+            let at idx =
+              Alcotest.(check bool) (e.name ^ ": " ^ b.label) true
+                (idx = n && code.(n) == ins)
+            in
+            if k = 0 then at (Lint.static_index_of p ~label:b.label ~k);
+            List.iter
+              (fun (s : Lint.site) ->
+                if s.u_label = b.label && s.u_index = k then at s.u_static_index)
+              sites;
+            (n + 1, k, b.label)
+          in
+          ignore (Prog.fold_insns step (0, 0, "") p))
+        Technique.all)
+    Catalog.all
+
 let () =
   Alcotest.run "lint"
     [
@@ -325,6 +355,8 @@ let () =
             test_ferrum_uncovered_empty;
           Alcotest.test_case "round-trip all techniques" `Slow
             test_roundtrip_catalogue;
+          Alcotest.test_case "static indices = machine's" `Slow
+            test_static_indices_agree;
         ] );
       ( "jsonl",
         [

@@ -1,17 +1,18 @@
-(* Tests for the pre-decoded threaded dispatcher: decode round-trip
-   identity against the legacy interpreter (final state, retirement
-   stream, single-stepping), superinstruction fusion boundary cases
-   (join targets, avoid masks, fuel running out mid-pair, resuming at a
-   pair's second half), the [enabled := false] fallback, the dispatch
-   counters, and classification/vulnmap identity of the fault-injection
-   engines whichever dispatcher runs. *)
+(* Tests for the pre-decoded threaded dispatcher and the machine's own
+   lowered stepper, both checked against the reference stepper
+   ([Ref_step]): round-trip identity (final state, retirement stream,
+   single-stepping, outcome and trap message) over fixtures, the
+   protected catalogue and the example C programs; superinstruction
+   fusion boundary cases (join targets, avoid masks, fuel running out
+   mid-pair, resuming at a pair's second half); and the dispatch
+   counters. *)
 
 open Ferrum_asm
 module Machine = Ferrum_machine.Machine
 module Predecode = Ferrum_machine.Predecode
-module F = Ferrum_faultsim.Faultsim
-module Json = Ferrum_telemetry.Json
 module Pipeline = Ferrum_eddi.Pipeline
+module Ferrum_pass = Ferrum_eddi.Ferrum_pass
+module Clite = Ferrum_clite.Clite
 module Technique = Ferrum_eddi.Technique
 module Catalog = Ferrum_workloads.Catalog
 
@@ -44,6 +45,67 @@ let loop_program () =
               original (Instr.Call "print_i64");
               original Instr.Ret ] ] ]
 
+(* Every shape that has no specialized arm or flat pair body because
+   no catalogue program selects it, so it runs [Machine.lower]'s generic
+   body under [Predecode] too: a Q store of an immediate, [cmp]/[test]
+   against an immediate, [test] of registers, [and]/[or], [movslq] from
+   a register and from memory, [movq]/[pextrq] out of an XMM register,
+   512-bit xor and test, and [vptest] and [cmpq] feeding a [jcc] to a
+   local label.  [trap], when given, runs first in the exit block: an
+   out-of-range memory operand that ends the run in a crash. *)
+let generic_program ?trap () =
+  let o = original in
+  let q = Reg.Q and r x = Instr.Reg x and imm v = Instr.Imm v in
+  let m ?base d = Instr.Mem (Instr.mem ?base d) in
+  Prog.program
+    [ Prog.func "main"
+        [ Prog.block "main"
+            [ o (Instr.Mov (q, imm 0x123456789abcdefL, r Reg.RAX));
+              o (Instr.Mov (q, imm 0L, r Reg.R8)) ];
+          Prog.block "loop"
+            [ o (Instr.Mov (q, imm (-5L), m 256));
+              o (Instr.Movslq (m 256, Reg.RBX));
+              o (Instr.Movslq (r Reg.RAX, Reg.RCX));
+              o (Instr.Alu (Instr.And, q, imm 0xFF0FL, r Reg.RCX));
+              o (Instr.Alu (Instr.Or, q, r Reg.R8, r Reg.RCX));
+              o (Instr.Test (q, r Reg.RCX, r Reg.RCX));
+              o (Instr.Test (q, imm 1L, r Reg.R8));
+              o (Instr.MovQ_to_xmm (r Reg.RCX, 1));
+              o (Instr.Pinsrq (1, Instr.Psrc_reg Reg.RBX, 1));
+              o (Instr.Vpxorq512 (1, 2, 2));
+              o (Instr.Vptestmq512 (2, 1));
+              o (Instr.Vinserti64x4 (1, 1, 0, 3));
+              o (Instr.Vptestmq512 (3, 3));
+              o (Instr.Set (Cond.E, r Reg.R9));
+              o (Instr.MovQ_from_xmm (2, Reg.RDX));
+              o (Instr.Pextrq (1, 1, Reg.RSI));
+              o (Instr.Alu (Instr.Add, q, r Reg.RDX, r Reg.RSI));
+              o (Instr.Alu (Instr.Add, q, imm 1L, r Reg.R8));
+              o (Instr.Vptest (1, 2));
+              o (Instr.Jcc (Cond.E, "skip")) ];
+          Prog.block "odd" [ o (Instr.Alu (Instr.Add, q, r Reg.RSI, r Reg.RDX)) ];
+          Prog.block "skip"
+            [ o (Instr.Cmp (q, imm 4L, r Reg.R8));
+              o (Instr.Jcc (Cond.NE, "loop")) ];
+          Prog.block "done"
+            (Option.to_list (Option.map o trap)
+            @ [ o (Instr.Mov (q, r Reg.RDX, r Reg.RDI));
+                o (Instr.Call "print_i64");
+                o (Instr.Mov (q, r Reg.RSI, r Reg.RDI));
+                o (Instr.Call "print_i64");
+                o Instr.Ret ]) ] ]
+
+(* Fixtures every round-trip suite runs; the two trap variants fault on
+   an operand at 0x123456789abcdef, far outside the 1 MiB memory. *)
+let fixtures () =
+  let far d = Instr.Mem (Instr.mem ~base:Reg.RAX d) in
+  [ ("loop fixture", loop_program ());
+    ("generic bodies", generic_program ());
+    ( "generic bodies, store trap",
+      generic_program ~trap:(Instr.Mov (Reg.Q, Instr.Imm 7L, far 0)) () );
+    ( "generic bodies, movslq trap",
+      generic_program ~trap:(Instr.Movslq (far 8, Reg.RBX)) () ) ]
+
 (* ---- helpers ---- *)
 
 let check_state_eq name (want : Machine.state) (got : Machine.state) =
@@ -66,92 +128,114 @@ let check_state_eq name (want : Machine.state) (got : Machine.state) =
   Alcotest.(check bool) (name ^ ": memory") true
     (Bytes.equal want.Machine.mem got.Machine.mem)
 
-let run_legacy ?fuel img =
-  let st = Machine.fresh_state img in
-  let o = Machine.run ?fuel img st in
-  (o, st)
+(* Outcomes compared with their crash message: trap text is part of
+   the contract (campaign records carry it). *)
+let check_outcome name want got =
+  Alcotest.(check string) (name ^ ": outcome")
+    (Fmt.str "%a" Machine.pp_outcome want)
+    (Fmt.str "%a" Machine.pp_outcome got)
 
-let run_fast ?fuel img =
-  let d = Predecode.get img in
-  let st = Machine.fresh_state img in
-  let o = Predecode.exec ?fuel d st in
-  (o, st)
-
+(* [Machine.run] and [Predecode.exec] against the reference stepper. *)
 let check_run_eq name ?fuel img =
-  let o1, st1 = run_legacy ?fuel img in
-  let o2, st2 = run_fast ?fuel img in
-  Alcotest.(check bool)
-    (name ^ ": outcome")
-    true
-    (Machine.equal_outcome o1 o2);
-  check_state_eq name st1 st2
+  let o0, st0 = Ref_step.run_fresh ?fuel img in
+  let o1, st1 = Machine.run_fresh ?fuel img in
+  check_outcome (name ^ " machine") o0 o1;
+  check_state_eq (name ^ " machine") st0 st1;
+  let st2 = Machine.fresh_state img in
+  let o2 = Predecode.exec ?fuel (Predecode.get img) st2 in
+  check_outcome (name ^ " predecode") o0 o2;
+  check_state_eq (name ^ " predecode") st0 st2
+
+let each_fixture f =
+  List.iter (fun (name, p) -> f name (Machine.load p)) (fixtures ())
 
 (* ---- decode round-trip: full-run identity ---- *)
 
 let test_fixture_roundtrip () =
-  check_run_eq "loop fixture" (Machine.load (loop_program ()))
+  each_fixture (fun name img -> check_run_eq name img);
+  (* the fixtures reach the outcomes they are meant to cover *)
+  List.iter2
+    (fun (name, p) want ->
+      let o = fst (Ref_step.run_fresh (Machine.load p)) in
+      Alcotest.(check string) (name ^ ": reference outcome") want
+        (match o with Machine.Exit _ -> "exit" | o -> Fmt.str "%a" Machine.pp_outcome o))
+    (fixtures ())
+    [ "exit"; "exit"; "crash (memory access at 0x123456789abcdef)";
+      "crash (memory access at 0x123456789abcdf7)" ]
 
+let example_path p = if Sys.file_exists p then p else Filename.concat ".." p
+
+(* The catalogue under every technique and under FERRUM's ZMM
+   configuration, and the example C programs under every technique. *)
 let test_catalogue_roundtrip () =
+  let check name t ?ferrum_config m =
+    let res = Pipeline.protect ?ferrum_config t m in
+    check_run_eq
+      (Printf.sprintf "%s/%s" name (Technique.short_name t))
+      (Machine.load res.Pipeline.program)
+  in
   List.iter
     (fun (e : Catalog.entry) ->
-      List.iter
-        (fun t ->
-          let res = Pipeline.protect t (e.Catalog.build ()) in
-          let img = Machine.load res.Pipeline.program in
-          check_run_eq
-            (Printf.sprintf "%s/%s" e.Catalog.name (Technique.short_name t))
-            img)
-        Technique.all)
-    Catalog.all
+      List.iter (fun t -> check e.Catalog.name t (e.Catalog.build ())) Technique.all;
+      check (e.Catalog.name ^ " zmm") Technique.Ferrum
+        ~ferrum_config:Ferrum_pass.zmm_config (e.Catalog.build ()))
+    Catalog.all;
+  List.iter
+    (fun path ->
+      let m = Clite.compile_file (example_path path) in
+      List.iter (fun t -> check path t m) Technique.all)
+    [ "examples/programs/matmul.c"; "examples/programs/sort.c" ]
 
-(* ---- observed path: same retirement stream as Machine.run ---- *)
+(* ---- observed path: same retirement stream as the reference ---- *)
 
 let test_observed_stream_identity () =
-  let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
-  let observe st0 =
-    let seen = ref [] in
-    let on_step (st : Machine.state) idx =
-      seen := (idx, st.Machine.steps, st.Machine.cycles) :: !seen
-    in
-    (on_step, st0, seen)
-  in
-  let on1, st1, seen1 = observe (Machine.fresh_state img) in
-  let o1 = Machine.run ~on_step:on1 img st1 in
-  let on2, st2, seen2 = observe (Machine.fresh_state img) in
-  let o2 = Predecode.exec_observed ~on_step:on2 d st2 in
-  Alcotest.(check bool) "outcome" true (Machine.equal_outcome o1 o2);
-  Alcotest.(check int) "stream length" (List.length !seen1)
-    (List.length !seen2);
-  List.iter2
-    (fun (i1, s1, c1) (i2, s2, c2) ->
-      Alcotest.(check int) "retired idx" i1 i2;
-      Alcotest.(check int) "steps at retire" s1 s2;
-      Alcotest.(check (float 0.)) "cycles at retire" c1 c2)
-    !seen1 !seen2;
-  check_state_eq "observed final" st1 st2
+  each_fixture (fun name img ->
+      let observe run =
+        let seen = ref [] in
+        let on_step (st : Machine.state) idx =
+          seen := (idx, st.Machine.steps, st.Machine.cycles) :: !seen
+        in
+        let st = Machine.fresh_state img in
+        let o = run ~on_step st in
+        (o, st, List.rev !seen)
+      in
+      let o0, st0, seen0 = observe (fun ~on_step st -> Ref_step.run ~on_step img st) in
+      List.iter
+        (fun (engine, run) ->
+          let name = name ^ " " ^ engine in
+          let o, st, seen = observe run in
+          check_outcome name o0 o;
+          Alcotest.(check (list (triple int int (float 0.))))
+            (name ^ ": retirement stream") seen0 seen;
+          check_state_eq name st0 st)
+        [ ("machine", fun ~on_step st -> Machine.run ~on_step img st);
+          ( "predecode",
+            fun ~on_step st ->
+              Predecode.exec_observed ~on_step (Predecode.get img) st ) ])
 
-(* ---- step1: lockstep single-stepping against Machine.step ---- *)
+(* ---- single steps in lockstep with the reference ---- *)
 
 let test_step1_lockstep () =
-  let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
-  let st1 = Machine.fresh_state img and st2 = Machine.fresh_state img in
-  let halted = ref false in
-  while not !halted do
-    let r1 = try `Idx (Machine.step img st1) with Machine.Halt o -> `Halt o in
-    let r2 = try `Idx (Predecode.step1 d st2) with Machine.Halt o -> `Halt o in
-    (match (r1, r2) with
-    | `Idx i1, `Idx i2 -> Alcotest.(check int) "retired idx" i1 i2
-    | `Halt o1, `Halt o2 ->
-      Alcotest.(check bool) "halt outcome" true (Machine.equal_outcome o1 o2);
-      halted := true
-    | _ -> Alcotest.fail "dispatchers halted at different steps");
-    Alcotest.(check int) "lockstep ip" st1.Machine.ip st2.Machine.ip;
-    Alcotest.(check (float 0.)) "lockstep cycles" st1.Machine.cycles
-      st2.Machine.cycles
-  done;
-  check_state_eq "step1 final" st1 st2
+  each_fixture (fun name img ->
+      let d = Predecode.get img in
+      let step f st =
+        try `Idx (f st) with
+        | Machine.Halt o -> `End (Fmt.str "%a" Machine.pp_outcome o)
+        | Machine.Trap m -> `End m
+      in
+      let st0 = Machine.fresh_state img in
+      let st1 = Machine.fresh_state img and st2 = Machine.fresh_state img in
+      let rec go () =
+        let r = step (Ref_step.step img) st0 in
+        if step (Machine.step img) st1 <> r || step (Predecode.step1 d) st2 <> r
+        then Alcotest.failf "%s: steppers diverged at step %d" name st0.steps;
+        Alcotest.(check (float 0.)) (name ^ ": lockstep cycles")
+          st0.Machine.cycles st2.Machine.cycles;
+        match r with `Idx _ -> go () | `End _ -> ()
+      in
+      go ();
+      check_state_eq (name ^ " Machine.step") st0 st1;
+      check_state_eq (name ^ " step1") st0 st2)
 
 (* ---- fusion boundary cases ---- *)
 
@@ -159,121 +243,80 @@ let test_step1_lockstep () =
    not fuse: jumping to the target would otherwise land in the middle
    of a pair. *)
 let test_join_target_unfused () =
-  let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
-  Alcotest.(check bool) "some pairs fused" true (Predecode.fused_pairs d > 0);
-  let checked = ref 0 in
-  Array.iteri
-    (fun _ link ->
-      match link with
-      | Machine.L_target t | Machine.L_call t ->
-        if t > 0 && t < Predecode.length d then begin
-          incr checked;
-          Alcotest.(check string)
-            (Printf.sprintf "boundary into join %d unfused" t)
-            ""
-            (Predecode.fused_name d (t - 1))
-        end
-      | _ -> ())
-    img.Machine.links;
-  Alcotest.(check bool) "fixture has join targets" true (!checked > 0);
-  (* The loop's flag-setting compare pairs with its conditional branch. *)
-  let cmp_jcc =
-    List.exists
-      (fun (n, c) -> n = "cmp+jcc" && c > 0)
-      (Predecode.pattern_counts d)
-  in
-  Alcotest.(check bool) "cmp+jcc fused in loop" true cmp_jcc
+  each_fixture (fun name img ->
+      let d = Predecode.get img in
+      Alcotest.(check bool) (name ^ ": some pairs fused") true
+        (Predecode.fused_pairs d > 0);
+      let checked = ref 0 in
+      Array.iter
+        (fun link ->
+          match link with
+          | Machine.L_target t | Machine.L_call t ->
+            if t > 0 && t < Predecode.length d then begin
+              incr checked;
+              Alcotest.(check string)
+                (Printf.sprintf "%s: boundary into join %d unfused" name t)
+                ""
+                (Predecode.fused_name d (t - 1))
+            end
+          | _ -> ())
+        img.Machine.links;
+      Alcotest.(check bool) (name ^ ": has join targets") true (!checked > 0);
+      (* Each fixture's loop compare pairs with its conditional branch. *)
+      let cmp_jcc =
+        List.exists
+          (fun (n, c) -> n = "cmp+jcc" && c > 0)
+          (Predecode.pattern_counts d)
+      in
+      Alcotest.(check bool) (name ^ ": cmp+jcc fused in loop") true cmp_jcc)
 
 (* [decode ~avoid] masks fusion at the flagged indices; an all-true
    mask is the fully unfused dispatcher and must still be identical. *)
 let test_avoid_mask_unfuses () =
-  let img = Machine.load (loop_program ()) in
-  let avoid = Array.make (Array.length img.Machine.code) true in
-  let d = Predecode.decode ~avoid img in
-  Alcotest.(check int) "no pairs under full avoid mask" 0
-    (Predecode.fused_pairs d);
-  let o1, st1 = run_legacy img in
-  let st2 = Machine.fresh_state img in
-  let o2 = Predecode.exec d st2 in
-  Alcotest.(check bool) "outcome" true (Machine.equal_outcome o1 o2);
-  check_state_eq "avoid mask" st1 st2
+  each_fixture (fun name img ->
+      let avoid = Array.make (Array.length img.Machine.code) true in
+      let d = Predecode.decode ~avoid img in
+      Alcotest.(check int) (name ^ ": no pairs under full avoid mask") 0
+        (Predecode.fused_pairs d);
+      let o1, st1 = Ref_step.run_fresh img in
+      let st2 = Machine.fresh_state img in
+      let o2 = Predecode.exec d st2 in
+      check_outcome name o1 o2;
+      check_state_eq (name ^ " avoid mask") st1 st2)
 
-(* Fuel that lands mid-pair must time out at exactly the legacy step
-   count: the fused thunk checks fuel between its halves. *)
+(* Fuel that lands mid-pair must time out at exactly the reference
+   step count: the fused thunk checks fuel between its halves. *)
 let test_fuel_mid_pair () =
-  let img = Machine.load (loop_program ()) in
-  for fuel = 40 to 60 do
-    let o1, st1 = run_legacy ~fuel img in
-    let o2, st2 = run_fast ~fuel img in
-    Alcotest.(check bool)
-      (Printf.sprintf "fuel=%d outcome" fuel)
-      true
-      (Machine.equal_outcome o1 o2);
-    Alcotest.(check bool)
-      (Printf.sprintf "fuel=%d timed out" fuel)
-      true
-      (o1 = Machine.Timeout);
-    check_state_eq (Printf.sprintf "fuel=%d" fuel) st1 st2
-  done
+  each_fixture (fun name img ->
+      for fuel = 40 to 60 do
+        let name = Printf.sprintf "%s fuel=%d" name fuel in
+        check_run_eq name ~fuel img;
+        Alcotest.(check bool) (name ^ ": timed out") true
+          (fst (Ref_step.run_fresh ~fuel img) = Machine.Timeout)
+      done)
 
 (* Resuming [exec] from a state parked mid-stream — including at the
    second half of a fused pair, which is how the injection engines
-   resume after a prefix replay — must match legacy from that point. *)
+   resume after a prefix replay — must match the reference from that
+   point. *)
 let test_resume_mid_pair () =
-  let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
-  for k = 1 to 9 do
-    let st1 = Machine.fresh_state img in
-    for _ = 1 to k do
-      ignore (Machine.step img st1)
-    done;
-    let o1 = Machine.run img st1 in
-    let st2 = Machine.fresh_state img in
-    for _ = 1 to k do
-      ignore (Predecode.step1 d st2)
-    done;
-    let o2 = Predecode.exec d st2 in
-    Alcotest.(check bool)
-      (Printf.sprintf "resume after %d steps" k)
-      true
-      (Machine.equal_outcome o1 o2);
-    check_state_eq (Printf.sprintf "resume k=%d" k) st1 st2
-  done
-
-(* ---- fallback parity: enabled := false ---- *)
-
-let with_disabled f =
-  Predecode.enabled := false;
-  Fun.protect ~finally:(fun () -> Predecode.enabled := true) f
-
-let test_fallback_parity () =
-  let img = Machine.load (loop_program ()) in
-  let d = Predecode.get img in
-  let o1, st1 = run_fast img in
-  Predecode.reset_counters ();
-  ignore (run_fast img);
-  let fused_fast = Predecode.fused_steps () in
-  with_disabled (fun () ->
-      let st2 = Machine.fresh_state img in
-      let o2 = Predecode.exec d st2 in
-      Alcotest.(check bool) "outcome" true (Machine.equal_outcome o1 o2);
-      check_state_eq "fallback exec" st1 st2;
-      (* The legacy loop replays the fused-step accounting over the
-         retirement stream, so the counters agree across dispatchers. *)
-      Predecode.reset_counters ();
-      let st3 = Machine.fresh_state img in
-      ignore (Predecode.exec d st3);
-      Alcotest.(check int) "fused_steps parity" fused_fast
-        (Predecode.fused_steps ());
-      (* Observed path and step1 fall back too. *)
-      let st4 = Machine.fresh_state img in
-      let o4 = Predecode.exec_observed ~on_step:(fun _ _ -> ()) d st4 in
-      Alcotest.(check bool) "fallback observed" true
-        (Machine.equal_outcome o1 o4);
-      let st5 = Machine.fresh_state img in
-      ignore (Predecode.step1 d st5);
-      Alcotest.(check int) "fallback step1 steps" 1 st5.Machine.steps)
+  each_fixture (fun name img ->
+      let d = Predecode.get img in
+      for k = 1 to 9 do
+        let name = Printf.sprintf "%s resume k=%d" name k in
+        let st1 = Machine.fresh_state img in
+        for _ = 1 to k do
+          ignore (Ref_step.step img st1)
+        done;
+        let o1 = Ref_step.run img st1 in
+        let st2 = Machine.fresh_state img in
+        for _ = 1 to k do
+          ignore (Predecode.step1 d st2)
+        done;
+        let o2 = Predecode.exec d st2 in
+        check_outcome name o1 o2;
+        check_state_eq name st1 st2
+      done)
 
 (* ---- counters and decode cache ---- *)
 
@@ -294,41 +337,6 @@ let test_counters_and_cache () =
   Alcotest.(check bool) "fused within fast" true
     (fused > 0 && fused <= Predecode.fast_steps ())
 
-(* ---- injection engines are dispatcher-independent ---- *)
-
-let campaign_lines ~engine ~seed ~samples img =
-  let t = F.prepare ~engine img in
-  List.init samples (fun sample ->
-      let _, _, r = F.campaign_sample t ~seed ~sample in
-      Json.to_string (F.record_to_json r))
-
-let vulnmap_rows ~engine ~seed ~samples img =
-  let v = F.vulnmap_campaign ~engine ~seed ~samples img in
-  List.map Json.to_string (F.vulnmap_rows v)
-
-let test_engines_across_dispatchers () =
-  let entry =
-    match Catalog.find "kmeans" with Some e -> e | None -> assert false
-  in
-  let res = Pipeline.protect Technique.Ferrum (entry.Catalog.build ()) in
-  let img = Machine.load res.Pipeline.program in
-  let seed = 9L and samples = 6 in
-  List.iter
-    (fun engine ->
-      let name = F.engine_name engine in
-      let fast_records = campaign_lines ~engine ~seed ~samples img in
-      let fast_vuln = vulnmap_rows ~engine ~seed ~samples img in
-      with_disabled (fun () ->
-          Alcotest.(check (list string))
-            (name ^ " records across dispatchers")
-            fast_records
-            (campaign_lines ~engine ~seed ~samples img);
-          Alcotest.(check (list string))
-            (name ^ " vulnmap across dispatchers")
-            fast_vuln
-            (vulnmap_rows ~engine ~seed ~samples img)))
-    [ F.Scratch; F.Pooled; F.Checkpointed 64 ]
-
 let () =
   Alcotest.run "predecode"
     [
@@ -345,12 +353,7 @@ let () =
           Alcotest.test_case "avoid mask" `Quick test_avoid_mask_unfuses;
           Alcotest.test_case "fuel mid-pair" `Quick test_fuel_mid_pair;
           Alcotest.test_case "resume mid-pair" `Quick test_resume_mid_pair ] );
-      ( "fallback",
-        [ Alcotest.test_case "legacy parity" `Quick test_fallback_parity ] );
       ( "counters",
         [ Alcotest.test_case "counters and cache" `Quick
             test_counters_and_cache ] );
-      ( "engines",
-        [ Alcotest.test_case "dispatcher-independent" `Slow
-            test_engines_across_dispatchers ] );
     ]

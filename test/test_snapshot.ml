@@ -218,13 +218,13 @@ let test_track_straddling_store () =
 
 (* ---- snapshot capture and restore ---- *)
 
-(* Reference: a fresh state stepped to exactly [steps] retired
-   instructions. *)
+(* Reference: a fresh state stepped by the reference stepper to
+   exactly [steps] retired instructions. *)
 let stepped_reference img steps =
   let st = Machine.fresh_state img in
   (try
      while st.Machine.steps < steps do
-       ignore (Machine.step img st)
+       ignore (Ref_step.step img st)
      done
    with Machine.Halt _ | Machine.Trap _ -> ());
   st
