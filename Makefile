@@ -7,7 +7,7 @@ CAMP = /tmp/ferrum_campaign
 STATS = /tmp/ferrum_stats
 TRACE = /tmp/ferrum_trace
 
-.PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf bench-snapshot check clean
+.PHONY: all build test fmt smoke lint campaign stats-smoke trace-smoke serve-smoke perf native-smoke bench-snapshot check clean
 
 all: build
 
@@ -123,6 +123,12 @@ serve-smoke: build
 perf: build
 	$(BENCH) perf --smoke --samples 300
 
+# Native smoke: the catalogue x {raw, ir-eddi, hybrid, ferrum} emitted,
+# linked and run on this CPU; every output must equal Ir.Interp's and
+# FERRUM must stay below 20x raw.  Skips off x86-64 Linux or without gcc.
+native-smoke: build
+	sh scripts/native_smoke.sh
+
 # Append-only benchmark snapshots: writes the next free BENCH_<n>.json
 # (ferrum.bench.v1) from a small seeded run.
 bench-snapshot: build
@@ -131,7 +137,7 @@ bench-snapshot: build
 	$(CLI) metrics BENCH_$$n.json && \
 	echo "bench-snapshot: wrote BENCH_$$n.json"
 
-check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf
+check: fmt build test smoke lint campaign stats-smoke trace-smoke serve-smoke perf native-smoke
 
 clean:
 	dune clean

@@ -40,10 +40,13 @@ type t =
   | Pop of Reg.gpr
   | Cqto (* sign-extend RAX into RDX:RAX *)
   | Idiv of Reg.size * operand (* RDX:RAX / src -> RAX quot, RDX rem *)
-  (* SIMD subset used by FERRUM's batched checking (paper Fig. 6). *)
-  | MovQ_to_xmm of operand * Reg.simd (* movq r/m64, %xmmN (zero-extends) *)
-  | MovQ_from_xmm of Reg.simd * Reg.gpr (* movq %xmmN, r64 *)
-  | Pinsrq of int * pinsr_src * Reg.simd (* lane 0 or 1 *)
+  (* SIMD subset used by FERRUM's batched checking (paper Fig. 6), all
+     VEX-encoded: a VEX.128/VEX.256 write zeroes the destination above
+     its width, up to lane 7. *)
+  | MovQ_to_xmm of operand * Reg.simd (* vmovq r/m64, %xmmN (zero-extends) *)
+  | MovQ_from_xmm of Reg.simd * Reg.gpr (* vmovq %xmmN, r64 *)
+  | Pinsrq of int * pinsr_src * Reg.simd
+    (* vpinsrq $i, r/m64, %xmmN, %xmmN; lane 0 or 1 *)
   | Pextrq of int * Reg.simd * Reg.gpr
   | Vinserti128 of int * Reg.simd * Reg.simd * Reg.simd
     (* vinserti128 $i, %xmmS, %ymmA, %ymmD *)
@@ -51,7 +54,7 @@ type t =
   | Vptest of Reg.simd * Reg.simd (* ZF := (s2 AND s1) = 0 *)
   (* AVX-512 subset for the ZMM variant of batched checking (paper
      §III-B5 names ZMM registers as the natural extension).  [Vptestmq]
-     models the vptestmq+kortestz sequence as one flag-setting test. *)
+     models the vptestmq+kortestw pair as one flag-setting test. *)
   | Vinserti64x4 of int * Reg.simd * Reg.simd * Reg.simd
     (* vinserti64x4 $i, %ymmS, %zmmA, %zmmD *)
   | Vpxorq512 of Reg.simd * Reg.simd * Reg.simd (* %zmmS1, %zmmS2, %zmmD *)
@@ -267,9 +270,9 @@ let mnemonic = function
   | Pop _ -> "pop"
   | Cqto -> "cqto"
   | Idiv _ -> "idiv"
-  | MovQ_to_xmm _ | MovQ_from_xmm _ -> "movq(xmm)"
-  | Pinsrq _ -> "pinsrq"
-  | Pextrq _ -> "pextrq"
+  | MovQ_to_xmm _ | MovQ_from_xmm _ -> "vmovq"
+  | Pinsrq _ -> "vpinsrq"
+  | Pextrq _ -> "vpextrq"
   | Vinserti128 _ -> "vinserti128"
   | Vpxor _ -> "vpxor"
   | Vptest _ -> "vptest"

@@ -3,9 +3,12 @@
     Operand order follows AT&T syntax: source first, destination last.
     The subset covers what the backend emits for the mini-IR (moves,
     two-operand ALU, shifts, compares, setcc, control flow, push/pop,
-    sign extension, division) plus the SSE/AVX/AVX-512 data-movement and
+    sign extension, division) plus the AVX/AVX-512 data-movement and
     comparison instructions FERRUM's batched checking uses (paper
-    Figs. 4-7). *)
+    Figs. 4-7).  Every SIMD instruction is VEX- or EVEX-encoded; there is
+    no legacy-SSE form, so emitted code never pays the SSE/AVX transition
+    penalty.  A VEX.128 or VEX.256 write zeroes its destination's lanes
+    above its width, up to lane 7 (MAXVL = 512). *)
 
 (** A memory operand [disp(base, index, scale)]. *)
 type mem = {
@@ -49,21 +52,25 @@ type t =
   | Idiv of Reg.size * operand
       (** RDX:RAX / src -> quotient in RAX, remainder in RDX *)
   | MovQ_to_xmm of operand * Reg.simd
-      (** [movq r/m64, %xmmN]; zeroes bits 64..127 *)
-  | MovQ_from_xmm of Reg.simd * Reg.gpr
-  | Pinsrq of int * pinsr_src * Reg.simd  (** insert 64-bit lane 0 or 1 *)
-  | Pextrq of int * Reg.simd * Reg.gpr
+      (** [vmovq r/m64, %xmmN]; zeroes lanes 1..7 *)
+  | MovQ_from_xmm of Reg.simd * Reg.gpr  (** [vmovq %xmmN, r64] *)
+  | Pinsrq of int * pinsr_src * Reg.simd
+      (** [vpinsrq $i, r/m64, %xmmN, %xmmN]: insert 64-bit lane 0 or 1,
+          keep the other low lane, zero lanes 2..7 *)
+  | Pextrq of int * Reg.simd * Reg.gpr  (** [vpextrq $i, %xmmN, r64] *)
   | Vinserti128 of int * Reg.simd * Reg.simd * Reg.simd
-      (** [vinserti128 $i, %xmmS, %ymmA, %ymmD] *)
+      (** [vinserti128 $i, %xmmS, %ymmA, %ymmD]; zeroes lanes 4..7 of D *)
   | Vpxor of Reg.simd * Reg.simd * Reg.simd
-      (** [vpxor %ymmS1, %ymmS2, %ymmD] *)
+      (** [vpxor %ymmS1, %ymmS2, %ymmD]; zeroes lanes 4..7 of D *)
   | Vptest of Reg.simd * Reg.simd  (** ZF := (s2 AND s1) = 0 over 256 bits *)
   | Vinserti64x4 of int * Reg.simd * Reg.simd * Reg.simd
       (** [vinserti64x4 $i, %ymmS, %zmmA, %zmmD] (AVX-512, paper §III-B5) *)
   | Vpxorq512 of Reg.simd * Reg.simd * Reg.simd
       (** [vpxorq %zmmS1, %zmmS2, %zmmD] *)
   | Vptestmq512 of Reg.simd * Reg.simd
-      (** models vptestmq+kortestz: ZF := (s2 AND s1) = 0 over 512 bits *)
+      (** [vptestmq %zmmS1, %zmmS2, %k1; kortestw %k1, %k1] as one
+          instruction: ZF := (s2 AND s1) = 0 over 512 bits, CF = SF =
+          OF := 0 ([%k1] is clobbered) *)
 
 (** Where an instruction came from.  The fault-injection campaign
     samples only [Original] instructions by default; [Dup]/[Check]/

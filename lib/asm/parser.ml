@@ -149,7 +149,13 @@ let is_simd_operand s = String.length s > 4 && s.[0] = '%'
   && (String.sub s 1 3 = "xmm" || String.sub s 1 3 = "ymm"
      || String.sub s 1 3 = "zmm")
 
-let parse_instr line : t =
+(* Legacy-SSE spellings of the XMM instructions: the printer never emits
+   them (mixing them with VEX code costs an SSE/AVX transition), so
+   reading one back is an error rather than a silent alias. *)
+let legacy_sse mnem line =
+  parse_error "legacy SSE encoding in %S: use v%s" line mnem
+
+let parse_stmt line : t =
   let mnem, ops = split_line line in
   let op2 k =
     match ops with
@@ -166,14 +172,24 @@ let parse_instr line : t =
   | "leaq", [ a; b ] -> Lea (parse_mem a, fst (parse_gpr b))
   | "pushq", [ a ] -> Push (parse_operand a)
   | "popq", [ a ] -> Pop (fst (parse_gpr a))
-  | "pinsrq", [ l; s; d ] ->
+  | "vpinsrq", [ l; s; a; d ] ->
     let lane = Int64.to_int (parse_imm l) in
     let src =
-      if s.[0] = '%' then Psrc_reg (fst (parse_gpr s)) else Psrc_mem (parse_mem s)
+      if String.starts_with ~prefix:"%" s then Psrc_reg (fst (parse_gpr s))
+      else Psrc_mem (parse_mem s)
     in
-    Pinsrq (lane, src, parse_simd d)
-  | "pextrq", [ l; s; d ] ->
+    let x = parse_simd d in
+    if parse_simd a <> x then
+      parse_error "vpinsrq merges into its destination only: %S" line;
+    Pinsrq (lane, src, x)
+  | "vpextrq", [ l; s; d ] ->
     Pextrq (Int64.to_int (parse_imm l), parse_simd s, fst (parse_gpr d))
+  | "vmovq", [ a; b ] ->
+    if is_simd_operand a then MovQ_from_xmm (parse_simd a, fst (parse_gpr b))
+    else MovQ_to_xmm (parse_operand a, parse_simd b)
+  | ("pinsrq" | "pextrq"), _ -> legacy_sse mnem line
+  | "movq", [ a; b ] when is_simd_operand a || is_simd_operand b ->
+    legacy_sse mnem line
   | "vinserti128", [ l; s; a; d ] ->
     Vinserti128 (Int64.to_int (parse_imm l), parse_simd s, parse_simd a,
       parse_simd d)
@@ -184,10 +200,9 @@ let parse_instr line : t =
       parse_simd d)
   | "vpxorq", [ a; b; d ] ->
     Vpxorq512 (parse_simd a, parse_simd b, parse_simd d)
-  | "vptestmq", [ a; b ] -> Vptestmq512 (parse_simd a, parse_simd b)
-  | "movq", [ a; b ] when is_simd_operand a || is_simd_operand b ->
-    if is_simd_operand a then MovQ_from_xmm (parse_simd a, fst (parse_gpr b))
-    else MovQ_to_xmm (parse_operand a, parse_simd b)
+  | "vptestmq", _ ->
+    parse_error "vptestmq must be followed by \"; kortestw %%k1, %%k1\": %S"
+      line
   | _ -> (
     (* setcc / jcc *)
     if String.length mnem > 3 && String.sub mnem 0 3 = "set" then
@@ -237,6 +252,23 @@ let parse_instr line : t =
               Shift (k, s, amount, parse_operand dst)
             | _ -> parse_error "bad shift %S" line)
           | None, None -> parse_error "unknown mnemonic %S" line)))
+
+(* One line holds one statement, or the "vptestmq ..., %k1; kortestw
+   %k1, %k1" pair [Printer] renders [Vptestmq512] as. *)
+let parse_instr line : t =
+  let code =
+    match String.index_opt line '#' with
+    | Some i -> String.sub line 0 i
+    | None -> line
+  in
+  match String.split_on_char ';' code with
+  | [ stmt ] -> parse_stmt stmt
+  | [ test; kor ] -> (
+    match (split_line test, split_line kor) with
+    | ("vptestmq", [ a; b; "%k1" ]), ("kortestw", [ "%k1"; "%k1" ]) ->
+      Vptestmq512 (parse_simd a, parse_simd b)
+    | _ -> parse_error "unsupported statement pair %S" line)
+  | _ -> parse_error "too many statements in %S" line
 
 (* Parse a whole program in the format produced by {!Printer.pp_program}.
    Provenance comments are restored from the trailing "# dup" / "# check"

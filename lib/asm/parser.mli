@@ -5,7 +5,12 @@
 exception Parse_error of string
 
 (** Parse one instruction line (without label or directive); trailing
-    "#" comments are ignored.  Raises {!Parse_error}. *)
+    "#" comments are ignored.  SIMD instructions are read in their VEX
+    spellings only ([vmovq], [vpinsrq], [vpextrq]); the legacy-SSE
+    [movq]-to/from-XMM, [pinsrq] and [pextrq] are parse errors, and
+    [vpinsrq]'s merge source must be its destination.  [Vptestmq512] is
+    the one two-statement line, ["vptestmq %zmmA, %zmmB, %k1; kortestw
+    %k1, %k1"].  Raises {!Parse_error}. *)
 val parse_instr : string -> Instr.t
 
 (** Parse a whole program in {!Printer.pp_program} format: ".globl"

@@ -1,5 +1,6 @@
 (* AT&T-syntax pretty printer.  The output of [program] is accepted by
-   [Parser.program] (round-trip tested by property tests). *)
+   [Parser.program] (round-trip tested by property tests) and by GNU as.
+   SIMD instructions print in their VEX/EVEX forms only. *)
 
 open Instr
 
@@ -67,14 +68,14 @@ let string_of_instr (i : t) =
   | Cqto -> "cqto"
   | Idiv (s, o) -> Printf.sprintf "idiv%s %s" (sz s) (string_of_operand s o)
   | MovQ_to_xmm (o, x) ->
-    Printf.sprintf "movq %s, %%%s" (string_of_operand Reg.Q o) (Reg.xmm_name x)
+    Printf.sprintf "vmovq %s, %%%s" (string_of_operand Reg.Q o) (Reg.xmm_name x)
   | MovQ_from_xmm (x, r) ->
-    Printf.sprintf "movq %%%s, %%%s" (Reg.xmm_name x) (Reg.gpr_name r Reg.Q)
+    Printf.sprintf "vmovq %%%s, %%%s" (Reg.xmm_name x) (Reg.gpr_name r Reg.Q)
   | Pinsrq (lane, src, x) ->
-    Printf.sprintf "pinsrq $%d, %s, %%%s" lane (string_of_pinsr_src src)
-      (Reg.xmm_name x)
+    Printf.sprintf "vpinsrq $%d, %s, %%%s, %%%s" lane (string_of_pinsr_src src)
+      (Reg.xmm_name x) (Reg.xmm_name x)
   | Pextrq (lane, x, r) ->
-    Printf.sprintf "pextrq $%d, %%%s, %%%s" lane (Reg.xmm_name x)
+    Printf.sprintf "vpextrq $%d, %%%s, %%%s" lane (Reg.xmm_name x)
       (Reg.gpr_name r Reg.Q)
   | Vinserti128 (lane, s, a, d) ->
     Printf.sprintf "vinserti128 $%d, %%%s, %%%s, %%%s" lane (Reg.xmm_name s)
@@ -91,7 +92,9 @@ let string_of_instr (i : t) =
     Printf.sprintf "vpxorq %%%s, %%%s, %%%s" (Reg.zmm_name a) (Reg.zmm_name b)
       (Reg.zmm_name d)
   | Vptestmq512 (a, b) ->
-    Printf.sprintf "vptestmq %%%s, %%%s" (Reg.zmm_name a) (Reg.zmm_name b)
+    (* one line, so the pair keeps one provenance comment *)
+    Printf.sprintf "vptestmq %%%s, %%%s, %%k1; kortestw %%k1, %%k1"
+      (Reg.zmm_name a) (Reg.zmm_name b)
 
 let provenance_comment = function
   | Original -> ""

@@ -7,7 +7,9 @@ val string_of_mem : Instr.mem -> string
 (** Render an operand at the given width (selects the register view). *)
 val string_of_operand : Reg.size -> Instr.operand -> string
 
-(** One instruction, without indentation or provenance comment. *)
+(** One instruction, without indentation or provenance comment.  SIMD
+    instructions print in VEX/EVEX form; [Vptestmq512] prints as the
+    two-statement line ["vptestmq %zmmA, %zmmB, %k1; kortestw %k1, %k1"]. *)
 val string_of_instr : Instr.t -> string
 
 (** Alias of {!string_of_instr}. *)

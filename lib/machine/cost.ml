@@ -26,7 +26,7 @@ type model = {
   setcc : float;
   call : float;
   div : float;
-  simd_mov : float; (* movq gpr<->xmm, pinsrq/pextrq reg form *)
+  simd_mov : float; (* vmovq gpr<->xmm, vpinsrq/vpextrq reg form *)
   simd_load : float; (* SIMD ops reading memory *)
   simd_op : float; (* vinserti128 / vpxor *)
   vptest : float;

@@ -7,6 +7,9 @@
    classification: normal exit with observable output, detection (control
    reached [exit_function] or [__ferrum_detect]), crash (memory trap,
    divide error, wild control transfer, stack overflow) or timeout.
+   SIMD instructions follow their VEX/EVEX encodings on an AVX-512 host
+   (MAXVL = 512): a VEX.128 or VEX.256 write zeroes the destination's
+   lanes above its width, up to lane 7.
 
    Each opcode's semantics is defined once, by {!lower}: a decode-time
    lowering of one static instruction into a closure over resolved
@@ -447,6 +450,13 @@ let xor_lanes n a b d st =
       (Int64.logxor (simd_lane st a lane) (simd_lane st b lane))
   done
 
+(* A VEX.128 or VEX.256 write zeroes its destination from lane [from]
+   up to MAXVL (512 bits, lane 7). *)
+let zero_upper x ~from st =
+  for lane = from to 7 do
+    set_simd_lane st x lane 0L
+  done
+
 (* vptest over the low [n] lanes: ZF = (b AND a) = 0, CF = (b AND NOT
    a) = 0, SF = OF = 0. *)
 let test_lanes n a b st =
@@ -642,7 +652,7 @@ let lower (img : image) ip : state -> unit =
     let rd = mk_read Reg.Q src in
     fun st ->
       set_simd_lane st x 0 (rd st);
-      set_simd_lane st x 1 0L
+      zero_upper x ~from:1 st
   | Instr.MovQ_from_xmm (x, r) ->
     let wr = mk_write_gpr Reg.Q r in
     fun st -> wr st (simd_lane st x 0)
@@ -654,7 +664,9 @@ let lower (img : image) ip : state -> unit =
         let ea = mk_ea m in
         fun st -> read_mem st (ea st) Reg.Q
     in
-    fun st -> set_simd_lane st x lane (rd st)
+    fun st ->
+      set_simd_lane st x lane (rd st);
+      zero_upper x ~from:2 st
   | Instr.Pextrq (lane, x, r) ->
     let wr = mk_write_gpr Reg.Q r in
     fun st -> wr st (simd_lane st x lane)
@@ -671,8 +683,12 @@ let lower (img : image) ip : state -> unit =
       set_simd_lane st d 0 lo0;
       set_simd_lane st d 1 lo1;
       set_simd_lane st d 2 hi0;
-      set_simd_lane st d 3 hi1
-  | Instr.Vpxor (a, b, d) -> xor_lanes 4 a b d
+      set_simd_lane st d 3 hi1;
+      zero_upper d ~from:4 st
+  | Instr.Vpxor (a, b, d) ->
+    fun st ->
+      xor_lanes 4 a b d st;
+      zero_upper d ~from:4 st
   | Instr.Vptest (a, b) -> test_lanes 4 a b
   | Instr.Vinserti64x4 (half, src, a, d) ->
     fun st ->
@@ -688,7 +704,12 @@ let lower (img : image) ip : state -> unit =
         set_simd_lane st d lane v
       done
   | Instr.Vpxorq512 (a, b, d) -> xor_lanes 8 a b d
-  | Instr.Vptestmq512 (a, b) -> test_lanes 8 a b
+  | Instr.Vptestmq512 (a, b) ->
+    (* kortestw sets CF only when all 16 mask bits are set; vptestmq
+       writes 8 *)
+    fun st ->
+      test_lanes 8 a b st;
+      st.cf <- false
 
 (* ------------------------------------------------------------------ *)
 (* One execution step.                                                 *)

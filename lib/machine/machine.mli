@@ -3,7 +3,9 @@
     Executes flattened {!Ferrum_asm.Prog.t} programs over an
     architectural state — 16 GPRs, 16 SIMD registers of 8 64-bit lanes
     (ZMM width), the ZF/SF/CF/OF flags, and byte-addressable
-    little-endian memory with the stack at the top.  Outcomes follow the
+    little-endian memory with the stack at the top.  SIMD writes follow
+    the VEX rule on an AVX-512 host: a VEX.128 or VEX.256 write zeroes
+    the destination's lanes above its width, up to lane 7.  Outcomes follow the
     fault-injection literature's classification; a per-step observer
     exposes each retired instruction so the injector can flip bits at
     write-back. *)

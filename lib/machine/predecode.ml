@@ -177,16 +177,36 @@ let[@inline] logic_flags (st : Machine.state) res =
   st.Machine.cf <- false;
   st.Machine.off <- false
 
+(* VEX upper-lane zeroing of the register whose lane 0 is at [x8],
+   unrolled: a VEX.256 write clears lanes 4..7, a VEX.128 write lanes
+   2..7 (and [vmovq] lane 1 too). *)
+let[@inline] zero_4_7 s x8 =
+  bset s (x8 + 4) 0L;
+  bset s (x8 + 5) 0L;
+  bset s (x8 + 6) 0L;
+  bset s (x8 + 7) 0L
+
+let[@inline] zero_2_7 s x8 =
+  bset s (x8 + 2) 0L;
+  bset s (x8 + 3) 0L;
+  zero_4_7 s x8
+
+let[@inline] zero_1_7 s x8 =
+  bset s (x8 + 1) 0L;
+  zero_2_7 s x8
+
 (* The 256-bit duplicate/check pair, shared by their arms and the
    flattened pair body (inlined into each).  [vpxor4] reads then
    writes lane by lane, in lane order, like [Machine.lower] (visible
-   when the destination aliases a source); [vptest4] sets ZF/CF from
-   the and/and-not accumulations over the four lanes. *)
+   when the destination aliases a source), then zeroes lanes 4..7;
+   [vptest4] sets ZF/CF from the and/and-not accumulations over the
+   four lanes. *)
 let[@inline] vpxor4 s a8 b8 d8 =
   bset s d8 (Int64.logxor (bget s a8) (bget s b8));
   bset s (d8 + 1) (Int64.logxor (bget s (a8 + 1)) (bget s (b8 + 1)));
   bset s (d8 + 2) (Int64.logxor (bget s (a8 + 2)) (bget s (b8 + 2)));
-  bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3)))
+  bset s (d8 + 3) (Int64.logxor (bget s (a8 + 3)) (bget s (b8 + 3)));
+  zero_4_7 s d8
 
 let[@inline] vptest4 (st : Machine.state) a8 b8 =
   let s = st.Machine.simd in
@@ -431,7 +451,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
           account cyc st cost next;
           let s = st.Machine.simd in
           bset s x8 v;
-          bset s (x8 + 1) 0L)
+          zero_1_7 s x8)
     | Instr.Reg r ->
       let ri = Reg.gpr_index r in
       Some
@@ -439,7 +459,7 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
           account cyc st cost next;
           let s = st.Machine.simd in
           bset s x8 (bget st.Machine.gpr ri);
-          bset s (x8 + 1) 0L)
+          zero_1_7 s x8)
     | Instr.Mem m ->
       if not little_endian then None
       else
@@ -451,16 +471,19 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
             let a = checked8 st g bi xi sc disp in
             let s = st.Machine.simd in
             bset s x8 (b_get64u st.Machine.mem a);
-            bset s (x8 + 1) 0L))
+            zero_1_7 s x8))
   | Instr.Pinsrq (lane, src, x) -> (
-    let li = (x * 8) + lane in
+    let x8 = x * 8 in
+    let li = x8 + lane in
     match src with
     | Instr.Psrc_reg r ->
       let ri = Reg.gpr_index r in
       Some
         (fun st ->
           account cyc st cost next;
-          bset st.Machine.simd li (bget st.Machine.gpr ri))
+          let s = st.Machine.simd in
+          bset s li (bget st.Machine.gpr ri);
+          zero_2_7 s x8)
     | Instr.Psrc_mem m ->
       if not little_endian then None
       else
@@ -470,7 +493,9 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
             account cyc st cost next;
             let g = st.Machine.gpr in
             let a = checked8 st g bi xi sc disp in
-            bset st.Machine.simd li (b_get64u st.Machine.mem a)))
+            let s = st.Machine.simd in
+            bset s li (b_get64u st.Machine.mem a);
+            zero_2_7 s x8))
   | Instr.Vinserti128 (half, sx, ax, dx) ->
     (* The half selector is a decode-time constant, so the four source
        lanes are fixed slots; reads complete before any write, exactly
@@ -491,7 +516,8 @@ let fast_thunk cyc ~cost ~next (img : Machine.image) ip (op : Instr.t) :
         bset s d8 lo0;
         bset s (d8 + 1) lo1;
         bset s (d8 + 2) hi0;
-        bset s (d8 + 3) hi1)
+        bset s (d8 + 3) hi1;
+        zero_4_7 s d8)
   | Instr.Vpxor (ax, bx, dx) ->
     let a8 = ax * 8 and b8 = bx * 8 and d8 = dx * 8 in
     Some

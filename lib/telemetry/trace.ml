@@ -301,6 +301,11 @@ let span_to_json ~trace (s : span) : Json.t =
       [ ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)) ]
     )
 
+(* Wall instants are written as integer microseconds since the epoch:
+   [Json.Float]'s 12 significant digits would round epoch seconds to
+   10 ms, flattening short spans to zero. *)
+let epoch_us t = Float.to_int (Float.round (t *. 1e6))
+
 let wall_to_json ~trace (w : wall) : Json.t =
   Json.Obj
     [
@@ -309,8 +314,8 @@ let wall_to_json ~trace (w : wall) : Json.t =
       ("span", Json.Str w.wl_span);
       ("name", Json.Str w.wl_name);
       ("proc", Json.Str w.wl_proc);
-      ("w_start", Json.Float w.wl_start);
-      ("w_end", Json.Float w.wl_end);
+      ("w_start_us", Json.Int (epoch_us w.wl_start));
+      ("w_end_us", Json.Int (epoch_us w.wl_end));
       ("cpu_user", Json.Float w.wl_cpu_user);
       ("cpu_sys", Json.Float w.wl_cpu_sys);
       ("maxrss_kb", Json.Int w.wl_maxrss_kb);
@@ -362,8 +367,15 @@ let wall_of_json j : (string * wall, string) result =
   let* wl_span = str_member "span" j in
   let* wl_name = str_member "name" j in
   let* wl_proc = str_member "proc" j in
-  let* wl_start = float_member "w_start" j in
-  let* wl_end = float_member "w_end" j in
+  (* sidecars written before the microsecond fields carry float
+     seconds *)
+  let instant name =
+    match Json.member (name ^ "_us") j with
+    | Some (Json.Int us) -> Ok (float_of_int us /. 1e6)
+    | _ -> float_member name j
+  in
+  let* wl_start = instant "w_start" in
+  let* wl_end = instant "w_end" in
   let* wl_cpu_user = float_member "cpu_user" j in
   let* wl_cpu_sys = float_member "cpu_sys" j in
   let* wl_maxrss_kb = int_member "maxrss_kb" j in

@@ -154,7 +154,14 @@ let exec_xor st n a b d =
     set_lane st d l (Int64.logxor (lane st a l) (lane st b l))
   done
 
-(* vptest / vptestmq over the low [n] lanes. *)
+(* A VEX.128 (width 2) or VEX.256 (width 4) write leaves the register's
+   lanes from [width] to lane 7 (MAXVL 512) zero. *)
+let clear_above st x width =
+  for l = width to 7 do
+    set_lane st x l 0L
+  done
+
+(* vptest over the low [n] lanes. *)
 let exec_test st n a b =
   let and_zero = ref true and andn_zero = ref true in
   for l = 0 to n - 1 do
@@ -242,7 +249,7 @@ let step (img : Machine.image) (st : Machine.state) =
     end
   | Instr.MovQ_to_xmm (src, x) ->
     set_lane st x 0 (read_operand st Reg.Q src);
-    set_lane st x 1 0L
+    clear_above st x 1
   | Instr.MovQ_from_xmm (x, r) -> write_gpr st r Reg.Q (lane st x 0)
   | Instr.Pinsrq (l, src, x) ->
     let v =
@@ -250,7 +257,8 @@ let step (img : Machine.image) (st : Machine.state) =
       | Instr.Psrc_reg r -> read_gpr st r Reg.Q
       | Instr.Psrc_mem m -> read_mem st (Machine.effective_address st m) Reg.Q
     in
-    set_lane st x l v
+    set_lane st x l v;
+    clear_above st x 2
   | Instr.Pextrq (l, x, r) -> write_gpr st r Reg.Q (lane st x l)
   | Instr.Vinserti128 (half, s, a, d) ->
     let lo0, lo1 =
@@ -262,8 +270,11 @@ let step (img : Machine.image) (st : Machine.state) =
     set_lane st d 0 lo0;
     set_lane st d 1 lo1;
     set_lane st d 2 hi0;
-    set_lane st d 3 hi1
-  | Instr.Vpxor (a, b, d) -> exec_xor st 4 a b d
+    set_lane st d 3 hi1;
+    clear_above st d 4
+  | Instr.Vpxor (a, b, d) ->
+    exec_xor st 4 a b d;
+    clear_above st d 4
   | Instr.Vptest (a, b) -> exec_test st 4 a b
   | Instr.Vinserti64x4 (half, src, a, d) ->
     (* read everything first: src/a may alias d *)
@@ -278,7 +289,17 @@ let step (img : Machine.image) (st : Machine.state) =
       set_lane st d l v
     done
   | Instr.Vpxorq512 (a, b, d) -> exec_xor st 8 a b d
-  | Instr.Vptestmq512 (a, b) -> exec_test st 8 a b);
+  | Instr.Vptestmq512 (a, b) ->
+    (* vptestmq into %k1, then kortestw %k1, %k1 *)
+    let k = ref 0 in
+    for l = 0 to 7 do
+      if not (Int64.equal (Int64.logand (lane st b l) (lane st a l)) 0L) then
+        k := !k lor (1 lsl l)
+    done;
+    st.zf <- !k = 0;
+    st.cf <- !k = 0xFFFF;
+    st.sf <- false;
+    st.off <- false);
   ip
 
 (* Run loop with [Machine.run]'s contract: fuel checked before the

@@ -136,8 +136,13 @@ let test_print_examples () =
     (p (Lea (mem ~base:Reg.RAX ~index:Reg.RCX ~scale:8 0, Reg.RDX)));
   check string_t "jne" "jne exit_function" (p (Jcc (Cond.NE, "exit_function")));
   check string_t "sete" "sete %r11b" (p (Set (Cond.E, Reg Reg.R11)));
-  check string_t "pinsrq" "pinsrq $1, %rdi, %xmm1"
+  check string_t "vpinsrq" "vpinsrq $1, %rdi, %xmm1, %xmm1"
     (p (Pinsrq (1, Psrc_reg Reg.RDI, 1)));
+  check string_t "vmovq" "vmovq %rax, %xmm3" (p (MovQ_to_xmm (Reg Reg.RAX, 3)));
+  check string_t "vmovq from" "vmovq %xmm3, %rax" (p (MovQ_from_xmm (3, Reg.RAX)));
+  check string_t "vpextrq" "vpextrq $1, %xmm3, %rax" (p (Pextrq (1, 3, Reg.RAX)));
+  check string_t "vptestmq" "vptestmq %zmm4, %zmm5, %k1; kortestw %k1, %k1"
+    (p (Vptestmq512 (4, 5)));
   check string_t "vinserti128" "vinserti128 $1, %xmm2, %ymm0, %ymm0"
     (p (Vinserti128 (1, 2, 0, 0)));
   check string_t "vptest" "vptest %ymm0, %ymm0" (p (Vptest (0, 0)))
@@ -166,6 +171,104 @@ let test_program_roundtrip () =
     (Prog.num_instructions p) (Prog.num_instructions p');
   let a = Prog.provenance_counts p and b = Prog.provenance_counts p' in
   Alcotest.(check bool) "provenance survives" true (a = b)
+
+(* ---- encoding ---- *)
+
+module Pipeline = Ferrum_eddi.Pipeline
+module Technique = Ferrum_eddi.Technique
+module Ferrum_pass = Ferrum_eddi.Ferrum_pass
+module Catalog = Ferrum_workloads.Catalog
+
+(* Every printed configuration: catalogue x {raw, ir-eddi, hybrid,
+   ferrum} plus FERRUM's ZMM batches, as (name, assembly text). *)
+let printed_catalogue =
+  lazy
+  (List.concat_map
+    (fun (e : Catalog.entry) ->
+      let m = e.build () in
+      let text p = Printer.program_to_string p in
+      ((e.name ^ " raw", text (Pipeline.raw m).program)
+      :: List.map
+           (fun t ->
+             ( e.name ^ " " ^ Technique.short_name t,
+               text (Pipeline.protect t m).program ))
+           Technique.all)
+      @ [ ( e.name ^ " ferrum --zmm",
+            text
+              (Pipeline.protect ~ferrum_config:Ferrum_pass.zmm_config
+                 Technique.Ferrum m)
+                .program ) ])
+    Catalog.all)
+
+(* A legacy-SSE XMM mnemonic: [pinsrq], [pextrq], or [movq] with an
+   XMM operand.  Each ';'-separated statement of a line is checked. *)
+let legacy_sse_statement stmt =
+  let stmt = String.trim stmt in
+  let mnem =
+    match String.index_opt stmt ' ' with
+    | Some i -> String.sub stmt 0 i
+    | None -> stmt
+  in
+  let mentions_xmm =
+    let rec go i =
+      i + 4 <= String.length stmt
+      && (String.sub stmt i 4 = "%xmm" || go (i + 1))
+    in
+    go 0
+  in
+  mnem = "pinsrq" || mnem = "pextrq" || (mnem = "movq" && mentions_xmm)
+
+let test_vex_only () =
+  List.iter
+    (fun (name, text) ->
+      List.iter
+        (fun line ->
+          let code =
+            match String.index_opt line '#' with
+            | Some i -> String.sub line 0 i
+            | None -> line
+          in
+          if List.exists legacy_sse_statement (String.split_on_char ';' code)
+          then Alcotest.failf "%s: legacy SSE encoding %S" name line)
+        (String.split_on_char '\n' text))
+    (Lazy.force printed_catalogue)
+
+let test_legacy_rejected () =
+  List.iter
+    (fun line ->
+      match Parser.parse_instr line with
+      | i ->
+        Alcotest.failf "%S parsed as %S" line (Printer.string_of_instr i)
+      | exception Parser.Parse_error _ -> ())
+    [ "movq %rax, %xmm0"; "movq (%rax), %xmm0"; "movq %xmm0, %rax";
+      "pinsrq $1, %rax, %xmm0"; "pextrq $1, %xmm0, %rax";
+      "vpinsrq $1, %rax, %xmm0, %xmm1"; "vptestmq %zmm1, %zmm2, %k1";
+      "vptestmq %zmm1, %zmm2"; "vptestmq %zmm1, %zmm2, %k1; kortestw %k2, %k2" ]
+
+let command_ok cmd = Sys.command (cmd ^ " >/dev/null 2>&1") = 0
+
+(* GNU as accepts every printed configuration, ZMM included.  Assembled
+   only, never run: the host may lack AVX-512.  Skipped when no x86-64
+   [as] is on PATH. *)
+let test_assembles () =
+  let src = Filename.temp_file "ferrum_enc" ".s" in
+  let obj = Filename.temp_file "ferrum_enc" ".o" in
+  let assemble text =
+    Out_channel.with_open_text src (fun oc -> output_string oc text);
+    command_ok
+      (Printf.sprintf "as --64 -o %s %s" (Filename.quote obj)
+         (Filename.quote src))
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; obj ])
+    (fun () ->
+      if not (command_ok "command -v as" && assemble "\tvpxor %ymm0, %ymm0, %ymm0\n")
+      then print_endline "encoding: no x86-64 as on PATH, assembly skipped"
+      else
+        List.iter
+          (fun (name, text) ->
+            if not (assemble text) then Alcotest.failf "%s does not assemble" name)
+          (Lazy.force printed_catalogue))
 
 (* ---- program validation ---- *)
 
@@ -257,6 +360,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_instr_roundtrip;
           Alcotest.test_case "program roundtrip" `Quick test_program_roundtrip
         ] );
+      ( "encoding",
+        [ Alcotest.test_case "VEX-only SIMD across the catalogue" `Quick
+            test_vex_only;
+          Alcotest.test_case "legacy spellings rejected" `Quick
+            test_legacy_rejected;
+          Alcotest.test_case "printed catalogue assembles" `Quick
+            test_assembles ] );
       ( "validation",
         [ Alcotest.test_case "valid program" `Quick test_validate_ok;
           Alcotest.test_case "unknown target" `Quick test_validate_bad_target;

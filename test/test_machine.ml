@@ -346,16 +346,53 @@ let test_simd_batch_semantics () =
   let _, st2 = run_body body2 in
   check_i64 "mismatch -> not ZF" 1L (gpr st2 Reg.R8)
 
-let test_movq_xmm_zeroes_high () =
-  let open Instr in
-  let _, st =
-    run_body
-      [ Mov (Reg.Q, Imm 5L, Reg Reg.RAX);
-        Pinsrq (1, Psrc_reg Reg.RAX, 0); (* set lane 1 *)
-        MovQ_to_xmm (Reg Reg.RAX, 0); (* must zero lane 1 *)
-        Pextrq (1, 0, Reg.RBX) ]
+(* VEX upper-lane zeroing (MAXVL 512).  [vex_lanes body x] runs [body]
+   from a state whose 128 SIMD lanes all hold distinct non-zero values
+   (lane [l] of register [r] holds [0x100 + 8r + l]) and returns the
+   eight lanes of register [x]. *)
+let vex_lanes body x =
+  let p =
+    Prog.program
+      [ Prog.func "main" [ Prog.block "main" (originals (body @ [ Instr.Ret ])) ] ]
   in
-  check_i64 "movq zeroes bits 64..127" 0L (gpr st Reg.RBX)
+  let img = Machine.load ~mem_size:(1 lsl 16) p in
+  let st = Machine.fresh_state img in
+  for i = 0 to 127 do
+    st.Machine.simd.{i} <- Int64.of_int (0x100 + i)
+  done;
+  exit_ok (Machine.run img st);
+  Array.init 8 (fun l -> st.Machine.simd.{(x * 8) + l})
+
+let seeded x l = Int64.of_int (0x100 + (x * 8) + l)
+
+let check_lanes name want got =
+  Alcotest.(check (array int64)) name (Array.of_list want) got
+
+let test_vmovq_zeroes_upper () =
+  let open Instr in
+  check_lanes "vmovq %rax, %xmm1" [ 5L; 0L; 0L; 0L; 0L; 0L; 0L; 0L ]
+    (vex_lanes
+       [ Mov (Reg.Q, Imm 5L, Reg Reg.RAX); MovQ_to_xmm (Reg Reg.RAX, 1) ]
+       1)
+
+let test_vpinsrq_zeroes_upper () =
+  let open Instr in
+  check_lanes "vpinsrq $1, %rax, %xmm1, %xmm1"
+    [ seeded 1 0; 5L; 0L; 0L; 0L; 0L; 0L; 0L ]
+    (vex_lanes
+       [ Mov (Reg.Q, Imm 5L, Reg Reg.RAX); Pinsrq (1, Psrc_reg Reg.RAX, 1) ]
+       1)
+
+let test_vinserti128_zeroes_upper () =
+  check_lanes "vinserti128 $1, %xmm2, %ymm1, %ymm1"
+    [ seeded 1 0; seeded 1 1; seeded 2 0; seeded 2 1; 0L; 0L; 0L; 0L ]
+    (vex_lanes [ Instr.Vinserti128 (1, 2, 1, 1) ] 1)
+
+let test_vpxor_zeroes_upper () =
+  let x l = Int64.logxor (seeded 2 l) (seeded 3 l) in
+  check_lanes "vpxor %ymm2, %ymm3, %ymm1"
+    [ x 0; x 1; x 2; x 3; 0L; 0L; 0L; 0L ]
+    (vex_lanes [ Instr.Vpxor (2, 3, 1) ] 1)
 
 let prop_shifts_match_int64 =
   QCheck.Test.make ~name:"64-bit shifts agree with Int64" ~count:300
@@ -489,8 +526,14 @@ let () =
       ( "simd",
         [ Alcotest.test_case "batch check semantics" `Quick
             test_simd_batch_semantics;
-          Alcotest.test_case "movq zeroes high lane" `Quick
-            test_movq_xmm_zeroes_high ] );
+          Alcotest.test_case "vmovq zeroes lanes 1..7" `Quick
+            test_vmovq_zeroes_upper;
+          Alcotest.test_case "vpinsrq zeroes lanes 2..7" `Quick
+            test_vpinsrq_zeroes_upper;
+          Alcotest.test_case "vinserti128 zeroes lanes 4..7" `Quick
+            test_vinserti128_zeroes_upper;
+          Alcotest.test_case "vpxor zeroes lanes 4..7" `Quick
+            test_vpxor_zeroes_upper ] );
       ( "faults",
         [ Alcotest.test_case "flip mutators" `Quick test_flip_gpr ] );
       ( "cost",
