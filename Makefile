@@ -96,16 +96,22 @@ stats-smoke: build
 # Distributed-tracing smoke: a 2-shard campaign must yield one stitched
 # ferrum.trace.v1 document (single root, resolvable parent chains) whose
 # logical rows are byte-identical across reruns, and the exporters must
-# emit loadable Perfetto JSON and folded flamegraph stacks.
+# emit loadable Perfetto JSON and folded flamegraph stacks.  The one
+# tree runs from the compile/protect stages to the workers' engines.
 trace-smoke: build
 	rm -rf $(TRACE).d $(TRACE).d2
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(TRACE).d --trace $(TRACE).jsonl > /dev/null
-	$(CLI) metrics $(TRACE).jsonl
+	$(CLI) metrics $(TRACE).jsonl > $(TRACE).metrics
+	test "$$(grep -c 'stitched: one trace, root span ' $(TRACE).metrics)" = 1
 	$(CLI) trace-export $(TRACE).d --perfetto $(TRACE).perfetto.json \
 	  --folded $(TRACE).folded
 	grep -q traceEvents $(TRACE).perfetto.json
 	grep -q "campaign;" $(TRACE).folded
+	root=$$(grep -o '^[^;]*;campaign;wave;shard;engine ' $(TRACE).folded | cut -d';' -f1); \
+	  test -n "$$root" && \
+	  grep -q "^$$root;resolve;compile " $(TRACE).folded && \
+	  grep -q "^$$root;resolve;protect.ferrum " $(TRACE).folded
 	$(CLI) campaign kmeans -p ferrum --samples 40 --shards 2 \
 	  --out $(TRACE).d2 > /dev/null
 	cmp $(TRACE).jsonl $(TRACE).d2/trace.jsonl
@@ -143,5 +149,5 @@ clean:
 	dune clean
 	rm -f $(SMOKE) $(SMOKE).2 $(VMAP) $(VMAP).2 $(LINTM) $(LINTM).2
 	rm -f $(STATS).jsonl $(STATS).2.jsonl $(STATS).flat.jsonl
-	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded
+	rm -f $(TRACE).jsonl $(TRACE).jsonl.wall $(TRACE).perfetto.json $(TRACE).folded $(TRACE).metrics
 	rm -rf $(CAMP) $(CAMP).2 $(CAMP).html $(CAMP).seq $(TRACE).d $(TRACE).d2

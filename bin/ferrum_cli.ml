@@ -30,7 +30,6 @@ module Lint = Ferrum_analysis.Lint
 module Shadow = Ferrum_analysis.Shadow
 module Json = Ferrum_telemetry.Json
 module Metrics = Ferrum_telemetry.Metrics
-module Span = Ferrum_telemetry.Span
 module Profile = Ferrum_telemetry.Profile
 module Events = Ferrum_telemetry.Events
 module Stats = Ferrum_telemetry.Stats
@@ -173,12 +172,12 @@ let knobs_term =
     const make $ optimize_arg $ no_simd_arg $ zmm_arg $ liveness_arg
     $ spares_arg)
 
-let program_of ?technique knobs entry =
+let program_of ?recorder ?technique knobs entry =
   let m = entry.Catalog.build () in
   match technique with
-  | None -> (Pipeline.raw ~optimize:knobs.optimize m).program
+  | None -> (Pipeline.raw ?recorder ~optimize:knobs.optimize m).program
   | Some t ->
-    (Pipeline.protect ~ferrum_config:knobs.ferrum_config
+    (Pipeline.protect ?recorder ~ferrum_config:knobs.ferrum_config
        ~optimize:knobs.optimize t m)
       .program
 
@@ -815,8 +814,11 @@ let profile_cmd =
     let techniques =
       match technique with Some t -> [ t ] | None -> Technique.all
     in
-    (* Raw baseline first: the reference for overhead attribution. *)
-    let raw_recorder = Span.create () in
+    (* Raw baseline first: the reference for overhead attribution.
+       Each configuration's stages record into a throwaway trace that
+       only its "pipeline:" tree reads. *)
+    let recorder () = Trace.create ~trace:"profile" ~proc:"profile" () in
+    let raw_recorder = recorder () in
     let raw =
       (Pipeline.raw ~recorder:raw_recorder ~optimize:knobs.optimize m)
         .Pipeline.program
@@ -863,12 +865,12 @@ let profile_cmd =
       exit 0
     end;
     Fmt.pr "== %s, raw ==@." e.Catalog.name;
-    Fmt.pr "pipeline:@.%a" (Span.pp ~timings) raw_recorder;
+    Fmt.pr "pipeline:@.%a" (Trace.pp_tree ~timings) raw_recorder;
     Fmt.pr "%a" (Profile.pp ~top) raw_profile;
     Fmt.pr "%a@." Profile.pp_dispatch (Profile.dispatch raw_img);
     List.iter
       (fun t ->
-        let recorder = Span.create () in
+        let recorder = recorder () in
         let r =
           Pipeline.protect ~recorder ~ferrum_config:knobs.ferrum_config
             ~optimize:knobs.optimize t m
@@ -876,7 +878,7 @@ let profile_cmd =
         let img = Machine.load r.Pipeline.program in
         let profile = Profile.run img in
         Fmt.pr "== %s, %s ==@." e.Catalog.name (Technique.short_name t);
-        Fmt.pr "pipeline:@.%a" (Span.pp ~timings) recorder;
+        Fmt.pr "pipeline:@.%a" (Trace.pp_tree ~timings) recorder;
         Fmt.pr "%a" (Profile.pp ~top) profile;
         Fmt.pr "%a" Profile.pp_provenance profile;
         Fmt.pr "%a" Profile.pp_dispatch (Profile.dispatch img);
@@ -1535,7 +1537,7 @@ let cc_cmd =
       Fmt.pr "%a@." F.pp_counts res.F.counts;
       Fmt.pr "SDC probability: %.4f +/- %.4f (95%%)@."
         (F.sdc_probability res.F.counts)
-        (F.confidence95 res.F.counts)
+        (Stats.half_width (Stats.wilson (F.sdc_tally res.F.counts)))
     | other ->
       Fmt.epr "unknown --emit %S (expected ir, asm, run or inject)@." other;
       exit 2
@@ -1617,65 +1619,88 @@ let campaign_cmd =
             (if adaptive then rounds else 1),
             (if adaptive then target_ci else 0.0) ))
     in
-    let p = program_of ?technique knobs (find_bench bench) in
-    (match prior with
-    | Some m when m.Manifest.program_digest <> Manifest.program_digest p ->
-      Fmt.epr
-        "--resume %s: program digest mismatch — the workload or the \
-         transform knobs changed since the recorded run@."
-        out;
-      exit 1
-    | _ -> ());
-    let img = Machine.load p in
-    let scope = if all_sites then F.All_sites else F.Original_only in
-    let target =
-      try F.prepare ~scope ~engine img
-      with Invalid_argument msg ->
-        Fmt.epr "%s@." msg;
-        exit 1
+    (* One trace per campaign, shaped like a served job's: "job" wraps
+       "resolve" (compile and protect stage spans, then the golden run)
+       and the campaign, whose runner continues the job span's context
+       down to the workers' engine phases. *)
+    let tracer =
+      Trace.create ~trace:(Runner.default_trace_id ~seed ~samples ~shards)
+        ~proc:"cli" ()
     in
-    let manifest =
-      Manifest.make
-        ~policy:(if adaptive then "adaptive" else "flat")
-        ~rounds ~target_ci ~benchmark:bench
-        ~technique:(technique_name technique) ~samples ~seed ~shards
-        ~fault_bits ~all_sites ~traced ~program:p target
+    let manifest, result =
+      Trace.span tracer "job" (fun () ->
+          let target, manifest =
+            Trace.span tracer "resolve" (fun () ->
+                let p =
+                  program_of ~recorder:tracer ?technique knobs
+                    (find_bench bench)
+                in
+                (match prior with
+                | Some m
+                  when m.Manifest.program_digest <> Manifest.program_digest p
+                  ->
+                  Fmt.epr
+                    "--resume %s: program digest mismatch — the workload \
+                     or the transform knobs changed since the recorded run@."
+                    out;
+                  exit 1
+                | _ -> ());
+                let img = Machine.load p in
+                let scope = if all_sites then F.All_sites else F.Original_only in
+                let target =
+                  try F.prepare ~scope ~engine img
+                  with Invalid_argument msg ->
+                    Fmt.epr "%s@." msg;
+                    exit 1
+                in
+                ( target,
+                  Manifest.make
+                    ~policy:(if adaptive then "adaptive" else "flat")
+                    ~rounds ~target_ci ~benchmark:bench
+                    ~technique:(technique_name technique) ~samples ~seed
+                    ~shards ~fault_bits ~all_sites ~traced ~program:p target
+                ))
+          in
+          (* Part files are only trusted when the manifest they were
+             written under matches this run's configuration — a fresh run
+             over a reused --out directory (the default one is stable per
+             BENCH.TECH) must not silently replay parts left by a run
+             with a different seed, scope, fault width or workload.  The
+             --resume path is already gated by the digest check above. *)
+          (match prior with
+          | Some _ -> ()
+          | None -> (
+            match Manifest.load ~dir:out with
+            | Ok recorded when Manifest.compatible recorded manifest -> ()
+            | Ok _ | Error _ -> Fsutil.rm_rf (Store.parts_dir out)));
+          (* Saved before the run so an interruption leaves a resumable
+             directory: parts/ plus the manifest that vouches for it. *)
+          Manifest.save ~dir:out manifest;
+          let on_event =
+            if progress then Some (progress_renderer "campaign") else None
+          in
+          let mode = if traced then Runner.Traced else Runner.Inject in
+          let trace_ctx = Trace.ctx_for tracer ~seg:"c" in
+          let result =
+            try
+              if adaptive then
+                Runner.run_adaptive ?workers ?on_event ~fault_bits
+                  ~part_dir:(Store.parts_dir out)
+                  ~policy:{ F.rounds; target_ci } ~trace_ctx ~mode ~shards
+                  ~seed ~budget:samples target
+              else
+                Runner.run ?workers ?on_event ~fault_bits
+                  ~part_dir:(Store.parts_dir out) ~trace_ctx ~mode ~shards
+                  ~seed ~samples target
+            with Failure msg ->
+              Fmt.epr "%s@." msg;
+              exit 1
+          in
+          (manifest, result))
     in
-    (* Part files are only trusted when the manifest they were written
-       under matches this run's configuration — a fresh run over a
-       reused --out directory (the default one is stable per
-       BENCH.TECH) must not silently replay parts left by a run with a
-       different seed, scope, fault width or workload.  The --resume
-       path is already gated by the digest check above. *)
-    (match prior with
-    | Some _ -> ()
-    | None -> (
-      match Manifest.load ~dir:out with
-      | Ok recorded when Manifest.compatible recorded manifest -> ()
-      | Ok _ | Error _ -> Fsutil.rm_rf (Store.parts_dir out)));
-    (* Saved before the run so an interruption leaves a resumable
-       directory: parts/ plus the manifest that vouches for it. *)
-    Manifest.save ~dir:out manifest;
-    let on_event =
-      if progress then Some (progress_renderer "campaign") else None
-    in
-    let mode = if traced then Runner.Traced else Runner.Inject in
-    let result =
-      try
-        if adaptive then
-          Runner.run_adaptive ?workers ?on_event ~fault_bits
-            ~part_dir:(Store.parts_dir out)
-            ~policy:{ F.rounds; target_ci } ~mode ~shards ~seed
-            ~budget:samples target
-        else
-          Runner.run ?workers ?on_event ~fault_bits
-            ~part_dir:(Store.parts_dir out) ~mode ~shards ~seed ~samples
-            target
-      with Failure msg ->
-        Fmt.epr "%s@." msg;
-        exit 1
-    in
-    Store.write_run ~dir:out ~manifest ~result ();
+    Store.write_run
+      ~extra_trace:(Trace.span_lines tracer, Trace.wall_lines tracer)
+      ~dir:out ~manifest ~result ();
     (match events_path with
     | None -> ()
     | Some path ->

@@ -610,9 +610,15 @@ let wave_body (datas : shard_data array) (markers : Events.t list array) =
 (* Campaign drivers.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The campaign tracer: continue a caller-provided context (daemon job
-   span), or root a fresh trace whose id is either caller-chosen or
-   derived from the campaign parameters — so a campaign traces
+(* The trace id a campaign roots when the caller supplies neither a
+   context nor an id: derived from the campaign parameters, so reruns
+   stitch under the same id. *)
+let default_trace_id ~seed ~samples ~shards =
+  Trace.derive_id ~seed (Fmt.str "campaign:%d:%d" samples shards)
+
+(* The campaign tracer: continue a caller-provided context (CLI or
+   daemon job span), or root a fresh trace whose id is either
+   caller-chosen or {!default_trace_id} — so a campaign traces
    unconditionally and trace.jsonl is a total artifact like the event
    log. *)
 let make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () =
@@ -622,10 +628,51 @@ let make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () =
     let trace =
       match trace_id with
       | Some t -> t
-      | None ->
-        Trace.derive_id ~seed (Fmt.str "campaign:%d:%d" samples shards)
+      | None -> default_trace_id ~seed ~samples ~shards
     in
     Trace.create ~trace ~proc:"runner" ()
+
+(* The finish path both drivers share, inside the "campaign" span:
+   merge the samples in global order, fold the stats document, announce
+   Campaign_finished and assemble the canonical log.  The trace rows
+   are filled in by {!with_trace} once the campaign span has closed. *)
+let finish ~mode ~fire ~tracer ~start ~budget ~round_ends ~body ~retried
+    target all_samples =
+  let record_lines, clock, counts, vulnmap =
+    Trace.span tracer "merge" (fun () ->
+        merge_samples ~mode target all_samples)
+  in
+  let stats_lines =
+    Trace.span tracer "stats" (fun () ->
+        stats_of_samples ~budget ~round_ends all_samples)
+  in
+  let finished =
+    {
+      Events.seq = 0;
+      shard = -1;
+      attempt = 0;
+      body =
+        Events.Campaign_finished
+          { total = counts.F.samples; tally = tally_of_counts counts; clock };
+    }
+  in
+  fire finished;
+  {
+    counts;
+    record_lines;
+    vulnmap;
+    clock;
+    events = canonical_log ~start ~finished body;
+    retried;
+    stats_lines;
+    trace_spans = [];
+    trace_walls = [];
+  }
+
+let with_trace tracer r =
+  { r with
+    trace_spans = Trace.span_lines tracer;
+    trace_walls = Trace.wall_lines tracer }
 
 let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
     ?part_dir ?sabotage ?garble ?trace_ctx ?trace_id ~mode ~shards ~seed
@@ -639,59 +686,24 @@ let run ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers ?on_event
   let tracer = make_tracer ?trace_ctx ?trace_id ~seed ~samples ~shards () in
   let start = started ~shards:k ~samples in
   fire start;
-  let counts, record_lines, vulnmap, clock, events, retried, stats_lines =
-    Trace.span tracer "campaign" (fun () ->
-        let datas, markers, retried =
-          Trace.span tracer "wave" (fun () ->
-              run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire
-                ~part_dir ~sabotage ~garble ~seed ~assign:None ~base_spent:0
-                ~budget:samples ~prior:Stats.zero ~tracer target
-                (Array.init k (fun i -> i))
-                ranges)
-        in
-        let all_samples =
-          List.concat_map (fun d -> d.d_samples) (Array.to_list datas)
-        in
-        let record_lines, clock, counts, vulnmap =
-          Trace.span tracer "merge" (fun () ->
-              merge_samples ~mode target all_samples)
-        in
-        let stats_lines =
-          Trace.span tracer "stats" (fun () ->
-              stats_of_samples ~budget:samples ~round_ends:[] all_samples)
-        in
-        Trace.counter tracer "samples" samples;
-        Trace.counter tracer "shards" k;
-        let finished =
-          {
-            Events.seq = 0;
-            shard = -1;
-            attempt = 0;
-            body =
-              Events.Campaign_finished
-                { total = samples; tally = tally_of_counts counts; clock };
-          }
-        in
-        fire finished;
-        ( counts,
-          record_lines,
-          vulnmap,
-          clock,
-          canonical_log ~start ~finished (wave_body datas markers),
-          retried,
-          stats_lines ))
-  in
-  {
-    counts;
-    record_lines;
-    vulnmap;
-    clock;
-    events;
-    retried;
-    stats_lines;
-    trace_spans = Trace.span_lines tracer;
-    trace_walls = Trace.wall_lines tracer;
-  }
+  with_trace tracer
+    (Trace.span tracer "campaign" (fun () ->
+         let datas, markers, retried =
+           Trace.span tracer "wave" (fun () ->
+               run_wave ~fault_bits ~traced ~heartbeats ~retries ~workers ~fire
+                 ~part_dir ~sabotage ~garble ~seed ~assign:None ~base_spent:0
+                 ~budget:samples ~prior:Stats.zero ~tracer target
+                 (Array.init k (fun i -> i))
+                 ranges)
+         in
+         let r =
+           finish ~mode ~fire ~tracer ~start ~budget:samples ~round_ends:[]
+             ~body:(wave_body datas markers) ~retried target
+             (List.concat_map (fun d -> d.d_samples) (Array.to_list datas))
+         in
+         Trace.counter tracer "samples" samples;
+         Trace.counter tracer "shards" k;
+         r))
 
 (* Adaptive campaign: split the budget into rounds, run each round as
    one wave of K shards (global shard ids r*K + s), and allocate round
@@ -715,8 +727,8 @@ let run_adaptive ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers
   in
   let start = started ~shards ~samples:budget in
   fire start;
-  let counts, record_lines, vulnmap, clock, events, retried, stats_lines =
-    Trace.span tracer "campaign" (fun () ->
+  with_trace tracer
+    (Trace.span tracer "campaign" (fun () ->
         let site_tallies : (int, Stats.tally) Hashtbl.t = Hashtbl.create 64 in
         let tally site =
           Option.value ~default:Stats.zero (Hashtbl.find_opt site_tallies site)
@@ -789,47 +801,11 @@ let run_adaptive ?(fault_bits = 1) ?(heartbeats = 8) ?(retries = 2) ?workers
               List.concat_map (fun d -> d.d_samples) (Array.to_list datas))
             (List.rev !rev_datas)
         in
-        let record_lines, clock, counts, vulnmap =
-          Trace.span tracer "merge" (fun () ->
-              merge_samples ~mode target all_samples)
+        let r =
+          finish ~mode ~fire ~tracer ~start ~budget ~round_ends:!round_ends
+            ~body:(List.concat (List.rev !rev_body)) ~retried:!retried target
+            all_samples
         in
-        let stats_lines =
-          Trace.span tracer "stats" (fun () ->
-              stats_of_samples ~budget ~round_ends:!round_ends all_samples)
-        in
-        Trace.counter tracer "samples" counts.F.samples;
+        Trace.counter tracer "samples" r.counts.F.samples;
         Trace.counter tracer "rounds" !round;
-        let finished =
-          {
-            Events.seq = 0;
-            shard = -1;
-            attempt = 0;
-            body =
-              Events.Campaign_finished
-                {
-                  total = counts.F.samples;
-                  tally = tally_of_counts counts;
-                  clock;
-                };
-          }
-        in
-        fire finished;
-        ( counts,
-          record_lines,
-          vulnmap,
-          clock,
-          canonical_log ~start ~finished (List.concat (List.rev !rev_body)),
-          !retried,
-          stats_lines ))
-  in
-  {
-    counts;
-    record_lines;
-    vulnmap;
-    clock;
-    events;
-    retried;
-    stats_lines;
-    trace_spans = Trace.span_lines tracer;
-    trace_walls = Trace.wall_lines tracer;
-  }
+        r))

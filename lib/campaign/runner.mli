@@ -46,6 +46,11 @@ type result = {
           non-deterministic, never byte-compared *)
 }
 
+(** The trace id a campaign roots when given neither [trace_ctx] nor
+    [trace_id]: {!Trace.derive_id} of the seed, sample count and shard
+    count.  [ferrum campaign] roots its own trace under this id. *)
+val default_trace_id : seed:int64 -> samples:int -> shards:int -> string
+
 (** Run a campaign split into [shards] ranges on at most [workers]
     (default [min shards 4]) concurrent forked workers.
 
@@ -71,10 +76,10 @@ type result = {
     Every campaign is traced: [trace_ctx] continues a caller's span
     context (e.g. the serve daemon's job span) so the campaign spans
     stitch under it; otherwise a fresh trace is rooted whose id is
-    [trace_id] when given and {!Trace.derive_id} of the campaign
-    parameters when not.  Worker span contexts are keyed on the global
-    shard id alone, so retries do not perturb span ids and the span
-    rows in [trace_spans] are byte-identical per seed. *)
+    [trace_id] when given and {!default_trace_id} when not.  Worker
+    span contexts are keyed on the global shard id alone, so retries do
+    not perturb span ids and the span rows in [trace_spans] are
+    byte-identical per seed. *)
 val run :
   ?fault_bits:int ->
   ?heartbeats:int ->

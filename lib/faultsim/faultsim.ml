@@ -98,14 +98,6 @@ module Stats = Ferrum_telemetry.Stats
 
 let sdc_tally c : Stats.tally = { Stats.n = c.samples; k = c.sdc }
 
-(* 95% confidence half-interval on the SDC proportion.  Historically a
-   normal approximation, which degenerates to zero width at p = 0,
-   p = 1 and n = 0 — exactly the regimes protected campaigns live in.
-   Now the Wilson half-width ({!Stats.wilson}): n = 0 is total
-   ignorance (0.5), and one-sided counts keep the width the sample
-   size actually supports.  Kept under its old name as an alias. *)
-let confidence95 c = Stats.half_width (Stats.wilson (sdc_tally c))
-
 let pp_counts ppf c =
   Fmt.pf ppf "n=%d benign=%d sdc=%d detected=%d crash=%d timeout=%d"
     c.samples c.benign c.sdc c.detected c.crash c.timeout

@@ -68,16 +68,6 @@ val sdc_probability : counts -> float
     for the {!Ferrum_telemetry.Stats} interval estimators. *)
 val sdc_tally : counts -> Ferrum_telemetry.Stats.tally
 
-(** 95% confidence half-interval on the SDC proportion.
-
-    @deprecated Alias for the Wilson half-width,
-    [Stats.half_width (Stats.wilson (sdc_tally c))].  Historically a
-    normal approximation, which degenerated to zero width at p = 0,
-    p = 1 and n = 0; the Wilson interval stays honest there (n = 0
-    yields 0.5 — total ignorance).  Prefer {!Ferrum_telemetry.Stats}
-    directly, which also exposes both interval endpoints. *)
-val confidence95 : counts -> float
-
 val pp_counts : Format.formatter -> counts -> unit
 
 (** Per static instruction: is it a sampling-eligible site? *)

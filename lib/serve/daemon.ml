@@ -104,7 +104,8 @@ let job_tracer (job : Queue.job) (spec : Spec.t) =
 
    The stored trace covers the daemon's side too: a "job" span wraps
    "queue-wait" (wall interval backdated to submission time),
-   "resolve" (workload build + golden run) and the campaign, whose
+   "resolve" (workload build with its "compile" / "protect.<tech>"
+   stage spans, then the golden run) and the campaign, whose
    runner continues the job span's context — so /runs/:digest/trace
    serves one stitched trace from client submission to worker engine
    phases. *)
@@ -117,7 +118,10 @@ let run_job cfg ~jobdir (job : Queue.job) : (string, string) result =
         if job.Queue.submitted > 0.0 then
           Trace.span ~w_start:job.Queue.submitted tracer "queue-wait"
             (fun () -> ());
-        let* r = Trace.span tracer "resolve" (fun () -> Spec.resolve spec) in
+        let* r =
+          Trace.span tracer "resolve" (fun () ->
+              Spec.resolve ~recorder:tracer spec)
+        in
         let manifest = r.Spec.manifest in
         Fsutil.mkdir_p jobdir;
         (* Part files left by an earlier attempt are only replayed when

@@ -109,8 +109,10 @@ type resolved = {
    mirrors the CLI campaign path with default transform knobs: build
    the benchmark IR, protect (or not), load, prepare the injection
    target, derive the manifest.  Expensive (runs the golden run), so
-   the daemon calls it once per submission and keeps the result. *)
-let resolve (s : t) : (resolved, string) result =
+   the daemon calls it once per submission and keeps the result.  With
+   a [recorder], the compile and protect stages record their spans
+   into it. *)
+let resolve ?recorder (s : t) : (resolved, string) result =
   let* entry =
     match Catalog.find s.benchmark with
     | Some e -> Ok e
@@ -151,8 +153,8 @@ let resolve (s : t) : (resolved, string) result =
   let m = entry.Catalog.build () in
   let program =
     match technique with
-    | None -> (Pipeline.raw m).Pipeline.program
-    | Some t -> (Pipeline.protect t m).Pipeline.program
+    | None -> (Pipeline.raw ?recorder m).Pipeline.program
+    | Some t -> (Pipeline.protect ?recorder t m).Pipeline.program
   in
   let img = Machine.load program in
   let scope = if all_sites then F.All_sites else F.Original_only in

@@ -40,5 +40,7 @@ type resolved = {
 }
 
 (** Validate against the catalogue and build the workload (runs the
-    golden run — expensive, call once per submission). *)
-val resolve : t -> (resolved, string) result
+    golden run — expensive, call once per submission).  [recorder]
+    receives the pipeline's ["compile"] / ["protect.<tech>"] spans. *)
+val resolve :
+  ?recorder:Ferrum_telemetry.Trace.recorder -> t -> (resolved, string) result

@@ -256,9 +256,9 @@ let span ?w_start r name f =
     exit_ r o;
     raise e
 
-(* Attach a counter to the innermost open span.  Every internal call
-   site sits inside a span; a stray counter (no span open) is dropped —
-   {!Span.counter} is the user-facing recorder and keeps such data. *)
+(* Attach a counter to the innermost open span.  Every call site —
+   campaign phases and pipeline stages alike — sits inside a span; a
+   stray counter (no span open) is dropped. *)
 let counter r name value =
   match r.r_stack with
   | o :: _ -> o.o_counters <- (name, value) :: o.o_counters
@@ -418,21 +418,54 @@ let walls_of_rows rows =
 (* Harvest.                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let own_spans r =
+  List.map snd
+    (List.sort (fun (a, _) (b, _) -> compare a b) (List.rev r.r_spans))
+
 (* Own closed spans in start order (the root a recorder opened first
    comes first even though it closed last), then absorbed child-process
    rows in absorption order — deterministic because the campaign runner
    absorbs shards in global id order. *)
 let span_lines r =
-  let own =
-    List.sort (fun (a, _) (b, _) -> compare a b) (List.rev r.r_spans)
-  in
-  List.map (fun (_, s) -> Json.to_string (span_to_json ~trace:r.r_trace s)) own
+  List.map (fun s -> Json.to_string (span_to_json ~trace:r.r_trace s))
+    (own_spans r)
   @ r.r_foreign_spans
 
 let wall_lines r =
   let own = List.rev r.r_walls in
   List.map (fun w -> Json.to_string (wall_to_json ~trace:r.r_trace w)) own
   @ r.r_foreign_walls
+
+(* Indented tree of this recorder's own closed spans in start order,
+   one line each: name padded to a 24-column field, the wall duration
+   when [timings], then the counters.  Parents open before their
+   children, so each span's depth is known by the time it prints. *)
+let pp_tree ?(timings = false) ppf r =
+  let depth = Hashtbl.create 16 in
+  let wall_of = Hashtbl.create 16 in
+  List.iter (fun w -> Hashtbl.replace wall_of w.wl_span w) r.r_walls;
+  List.iter
+    (fun s ->
+      let d =
+        match Hashtbl.find_opt depth s.sp_parent with
+        | Some d -> d + 1
+        | None -> 0
+      in
+      Hashtbl.replace depth s.sp_id d;
+      Fmt.pf ppf "%s%-*s" (String.make (2 * d) ' ') (max 1 (24 - (2 * d)))
+        s.sp_name;
+      if timings then begin
+        let w = Hashtbl.find wall_of s.sp_id in
+        Fmt.pf ppf " %8.3f ms" ((w.wl_end -. w.wl_start) *. 1e3)
+      end;
+      (match s.sp_counters with
+      | [] -> ()
+      | cs ->
+        Fmt.pf ppf "  [%a]"
+          Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s=%d" k v))
+          cs);
+      Fmt.pf ppf "@.")
+    (own_spans r)
 
 (* ------------------------------------------------------------------ *)
 (* Schema.                                                             *)

@@ -83,7 +83,7 @@ val advance : recorder -> int -> unit
 val span : ?w_start:float -> recorder -> string -> (unit -> 'a) -> 'a
 
 (** Attach a counter to the innermost open span (dropped when no span
-    is open — internal instrumentation only). *)
+    is open; every call site in the tree records inside a span). *)
 val counter : recorder -> string -> int -> unit
 
 (** Mint a child-process context under the innermost open span.  [seg]
@@ -102,6 +102,11 @@ val span_lines : recorder -> string list
 
 (** Wall sidecar record lines (non-deterministic; never byte-compared). *)
 val wall_lines : recorder -> string list
+
+(** Indented tree of the recorder's own closed spans (absorbed rows
+    excluded), one line per span with its counters; wall durations
+    only with [~timings:true], so the default output is deterministic. *)
+val pp_tree : ?timings:bool -> Format.formatter -> recorder -> unit
 
 (** {1 Serialization} *)
 

@@ -8,6 +8,7 @@ module F = Ferrum_faultsim.Faultsim
 module Rng = Ferrum_faultsim.Rng
 module Pipeline = Ferrum_eddi.Pipeline
 module Technique = Ferrum_eddi.Technique
+module Stats = Ferrum_telemetry.Stats
 
 (* ---- rng ---- *)
 
@@ -166,9 +167,12 @@ let test_overhead_math () =
   Alcotest.(check (float 1e-9)) "zero" 0.0
     (F.overhead ~raw_cycles:100.0 ~prot_cycles:100.0)
 
+(* Wilson 95% half-width of the SDC proportion. *)
+let half_width c = Stats.half_width (Stats.wilson (F.sdc_tally c))
+
 let test_confidence_shrinks () =
-  let narrow = F.confidence95 (counts ~samples:1000 ~sdc:100) in
-  let wide = F.confidence95 (counts ~samples:10 ~sdc:1) in
+  let narrow = half_width (counts ~samples:1000 ~sdc:100) in
+  let wide = half_width (counts ~samples:10 ~sdc:1) in
   Alcotest.(check bool) "more samples, tighter bound" true (narrow < wide)
 
 let test_degenerate_stats () =
@@ -178,26 +182,26 @@ let test_degenerate_stats () =
   Alcotest.(check (float 0.0)) "empty probability" 0.0
     (F.sdc_probability F.zero_counts);
   Alcotest.(check (float 1e-9)) "empty interval" 0.5
-    (F.confidence95 F.zero_counts);
+    (half_width F.zero_counts);
   (* all-SDC: probability 1, but the interval no longer collapses to a
      width-zero lie at p(1-p) = 0 — Wilson keeps honest uncertainty *)
   let all = counts ~samples:25 ~sdc:25 in
   Alcotest.(check (float 1e-9)) "all-sdc probability" 1.0
     (F.sdc_probability all);
   Alcotest.(check bool) "all-sdc interval finite" true
-    (Float.is_finite (F.confidence95 all));
+    (Float.is_finite (half_width all));
   Alcotest.(check bool) "all-sdc interval positive" true
-    (F.confidence95 all > 0.0);
+    (half_width all > 0.0);
   Alcotest.(check bool) "all-sdc interval below half" true
-    (F.confidence95 all < 0.5);
+    (half_width all < 0.5);
   (* a single sample keeps everything finite too *)
   let one = counts ~samples:1 ~sdc:1 in
   Alcotest.(check (float 1e-9)) "one-sample probability" 1.0
     (F.sdc_probability one);
   Alcotest.(check bool) "one-sample interval finite" true
-    (Float.is_finite (F.confidence95 one));
+    (Float.is_finite (half_width one));
   Alcotest.(check bool) "one-sample interval positive" true
-    (F.confidence95 one > 0.0)
+    (half_width one > 0.0)
 
 let () =
   Alcotest.run "faultsim"

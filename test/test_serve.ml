@@ -768,7 +768,22 @@ let test_daemon_end_to_end () =
                 (Fmt.str "trace has %s span" n)
                 true
                 (List.exists (fun s -> s.Trace.sp_name = n) spans))
-            [ "job"; "queue-wait"; "resolve"; "campaign"; "shard" ]));
+            [ "job"; "queue-wait"; "resolve"; "campaign"; "shard" ];
+          (* the pipeline stages record under "resolve" *)
+          let resolve_span =
+            List.find (fun s -> s.Trace.sp_name = "resolve") spans
+          in
+          List.iter
+            (fun n ->
+              Alcotest.(check (list string))
+                (Fmt.str "%s parented under resolve" n)
+                [ resolve_span.Trace.sp_id ]
+                (List.filter_map
+                   (fun s ->
+                     if s.Trace.sp_name = n then Some s.Trace.sp_parent
+                     else None)
+                   spans))
+            [ "compile"; "protect.ferrum" ]));
       (* the client's trace id is adopted verbatim in every row *)
       Alcotest.(check bool) "client trace id adopted" true
         (List.for_all (contains ~affix:client_trace) records3);

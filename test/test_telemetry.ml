@@ -6,7 +6,10 @@ open Ferrum_asm
 module Machine = Ferrum_machine.Machine
 module Flight = Ferrum_machine.Flight
 module Json = Ferrum_telemetry.Json
-module Span = Ferrum_telemetry.Span
+module Trace = Ferrum_telemetry.Trace
+module Pipeline = Ferrum_eddi.Pipeline
+module Technique = Ferrum_eddi.Technique
+module Catalog = Ferrum_workloads.Catalog
 module Metrics = Ferrum_telemetry.Metrics
 module Profile = Ferrum_telemetry.Profile
 module F = Ferrum_faultsim.Faultsim
@@ -76,73 +79,106 @@ let test_flight_no_wrap () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "depth 0 must be rejected"
 
-(* ---- pipeline spans ---- *)
+(* ---- pipeline spans: the Trace recorder as Pipeline uses it ---- *)
 
-let fake_clock () =
-  let t = ref 0.0 in
-  fun () ->
-    t := !t +. 1.0;
-    !t
+let own_spans r =
+  match Trace.rows_of_lines (Trace.span_lines r) with
+  | Ok rows -> Trace.spans_of_rows rows
+  | Error e -> Alcotest.failf "span rows: %s" e
 
 let test_span_nesting () =
-  let r = Span.create ~clock:(fake_clock ()) () in
+  let r = Trace.create ~trace:"t" ~proc:"test" () in
   let result =
-    Span.span r "compile" (fun () ->
-        Span.counter r "instructions" 10;
-        Span.span r "peephole" (fun () ->
-            Span.counter r "rewrites" 3;
+    Trace.span r "compile" (fun () ->
+        Trace.counter r "instructions" 10;
+        Trace.span r "peephole" (fun () ->
+            Trace.counter r "rewrites" 3;
+            Trace.counter r "passes" 1;
             42))
   in
   Alcotest.(check int) "body result" 42 result;
-  match Span.spans r with
+  match own_spans r with
   | [ outer; inner ] ->
-    Alcotest.(check string) "outer name" "compile" outer.Span.name;
-    Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-    Alcotest.(check int) "outer order" 0 outer.Span.order;
-    Alcotest.(check string) "inner name" "peephole" inner.Span.name;
-    Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-    Alcotest.(check int) "inner order" 1 inner.Span.order;
-    (* fake clock ticks once per reading: outer spans 4 readings *)
-    Alcotest.(check (float 1e-9)) "inner duration" 1.0 inner.Span.duration;
-    Alcotest.(check (float 1e-9)) "outer duration" 3.0 outer.Span.duration;
+    Alcotest.(check string) "outer name" "compile" outer.Trace.sp_name;
+    Alcotest.(check string) "outer id" "0" outer.Trace.sp_id;
+    Alcotest.(check string) "outer is a root" "" outer.Trace.sp_parent;
+    Alcotest.(check string) "inner name" "peephole" inner.Trace.sp_name;
+    Alcotest.(check string) "inner id" "0.0" inner.Trace.sp_id;
+    Alcotest.(check string) "inner parent" "0" inner.Trace.sp_parent;
     Alcotest.(check (list (pair string int)))
       "outer counters"
       [ ("instructions", 10) ]
-      outer.Span.counters;
+      outer.Trace.sp_counters;
     Alcotest.(check (list (pair string int)))
-      "inner counters" [ ("rewrites", 3) ] inner.Span.counters
+      "inner counters in insertion order"
+      [ ("rewrites", 3); ("passes", 1) ]
+      inner.Trace.sp_counters
   | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
 
-let test_span_exception_and_stray_counter () =
-  let r = Span.create ~clock:(fake_clock ()) () in
-  (* counters outside any span survive on an implicit root span *)
-  Span.counter r "stray" 1;
-  Span.counter r "stray" 2;
-  (match Span.span r "boom" (fun () -> failwith "x") with
+let test_span_exception () =
+  let r = Trace.create ~trace:"t" ~proc:"test" () in
+  (match
+     Trace.span r "boom" (fun () ->
+         Trace.counter r "before" 1;
+         failwith "x")
+   with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "exception must propagate");
-  match Span.spans r with
-  | [ s; root ] ->
-    Alcotest.(check string) "span closed despite raise" "boom" s.Span.name;
-    Alcotest.(check (list (pair string int))) "no counters" [] s.Span.counters;
-    Alcotest.(check string) "stray counters on implicit root" "<root>"
-      root.Span.name;
+  (* the raising span closed: a later span is a new root, not a child *)
+  Trace.span r "after" ignore;
+  match own_spans r with
+  | [ boom; after ] ->
+    Alcotest.(check string) "span closed despite raise" "boom"
+      boom.Trace.sp_name;
     Alcotest.(check (list (pair string int)))
-      "strays kept in order"
-      [ ("stray", 1); ("stray", 2) ]
-      root.Span.counters
-  | spans -> Alcotest.failf "expected span + implicit root, got %d"
-               (List.length spans)
+      "counters before the raise kept" [ ("before", 1) ]
+      boom.Trace.sp_counters;
+    Alcotest.(check string) "next span is a sibling" ""
+      after.Trace.sp_parent;
+    Alcotest.(check int) "wall row per closed span" 2
+      (List.length (Trace.wall_lines r))
+  | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans)
 
 let test_span_pp_deterministic () =
-  let r = Span.create ~clock:(fake_clock ()) () in
-  Span.span r "a" (fun () ->
-      Span.counter r "n" 2;
-      Span.span r "b" ignore);
-  let untimed = Fmt.str "%a" (Span.pp ?timings:None) r in
+  let r = Trace.create ~trace:"t" ~proc:"test" () in
+  Trace.span r "a" (fun () ->
+      Trace.counter r "n" 2;
+      Trace.span r "b" ignore);
+  let untimed = Fmt.str "%a" (Trace.pp_tree ?timings:None) r in
   (* the default rendering must not contain clock readings *)
   Alcotest.(check bool) "no durations by default" false
-    (String.contains untimed '.')
+    (String.contains untimed '.');
+  Alcotest.(check string) "indented tree"
+    (Fmt.str "%-24s  [n=2]\n  %-22s\n" "a" "b")
+    untimed;
+  let timed = Fmt.str "%a" (Trace.pp_tree ~timings:true) r in
+  Alcotest.(check bool) "durations with ~timings" true
+    (String.contains timed '.')
+
+(* The pipeline's stage counters for FERRUM-protected kmeans, as trace
+   rows — the figures `ferrum profile kmeans -p ferrum` prints. *)
+let test_pipeline_counters () =
+  let r = Trace.create ~trace:"t" ~proc:"test" () in
+  let m = (Option.get (Catalog.find "kmeans")).Catalog.build () in
+  ignore (Pipeline.protect ~recorder:r Technique.Ferrum m);
+  let stage name =
+    match
+      List.filter (fun s -> s.Trace.sp_name = name) (own_spans r)
+    with
+    | [ s ] -> s
+    | _ -> Alcotest.failf "expected one %s span" name
+  in
+  Alcotest.(check (list (pair string int)))
+    "compile counters"
+    [ ("instructions", 720) ]
+    (stage "compile").Trace.sp_counters;
+  Alcotest.(check (list (pair string int)))
+    "protect.ferrum counters"
+    [ ("spare_gprs", 31); ("spare_simd", 48); ("simd_batched", 194);
+      ("general_protected", 235); ("comparisons_protected", 30);
+      ("flushes", 118); ("requisitions", 0); ("instructions", 2673);
+      ("duplicated", 486); ("checkers", 498); ("instrumentation", 969) ]
+    (stage "protect.ferrum").Trace.sp_counters
 
 (* ---- canonical JSON ---- *)
 
@@ -314,10 +350,11 @@ let () =
           Alcotest.test_case "no wrap + bad depth" `Quick test_flight_no_wrap ] );
       ( "span",
         [ Alcotest.test_case "nesting and counters" `Quick test_span_nesting;
-          Alcotest.test_case "exception safety" `Quick
-            test_span_exception_and_stray_counter;
+          Alcotest.test_case "exception safety" `Quick test_span_exception;
           Alcotest.test_case "pp deterministic" `Quick
-            test_span_pp_deterministic ] );
+            test_span_pp_deterministic;
+          Alcotest.test_case "pipeline counters on kmeans" `Quick
+            test_pipeline_counters ] );
       ( "json",
         [ Alcotest.test_case "canonical round-trip" `Quick test_json_roundtrip ] );
       ( "metrics",
